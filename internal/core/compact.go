@@ -72,12 +72,17 @@ type CompactSystem struct {
 
 	// Per-slab protocol state, all lazily sized by the build and
 	// appended on join. trees caches lazily materialized tomography
-	// trees and is invalidated in full on every churn event (rebuilds
-	// are deterministic, so contents always match a fresh build).
-	msgSeq []uint64
-	fwdSeq []uint64
-	trees  []*tomography.Tree
-	sweeps []func()
+	// trees; treeGen[p] is the churn generation at which trees[p] was
+	// last known current. Churn bumps churnGen rather than dropping the
+	// cache, and treeOfSlab revalidates a stale tree on its first use
+	// against the node's current ordered peers, so the cache always
+	// holds what a fresh build would produce (DESIGN.md §9).
+	msgSeq   []uint64
+	fwdSeq   []uint64
+	trees    []*tomography.Tree
+	treeGen  []uint32
+	churnGen uint32
+	sweeps   []func()
 	// departedSlab remembers the slab of every departed identifier so
 	// cold verdict-window queries and equivalence tests can still key by
 	// slab after churn.
@@ -180,6 +185,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		msgSeq:       make([]uint64, n),
 		fwdSeq:       make([]uint64, n),
 		trees:        make([]*tomography.Tree, n),
+		treeGen:      make([]uint32, n),
 		sweeps:       make([]func(), n),
 		rng:          rng,
 		met:          newSystemMetrics(cfg.Metrics),
@@ -396,12 +402,16 @@ func (cs *CompactSystem) TreeOf(i uint32, scratch *topology.BFSScratch) (*tomogr
 }
 
 // treeOfSlab returns slab p's cached tomography tree, materializing it
-// on first use after build or churn. Rebuilds are a pure function of
-// the immutable graph and the node's current routing peers, so the
-// cache never holds content a fresh build would not produce.
+// on first use. A tree is a pure function of the immutable graph, the
+// node's root router and its ordered routing peers, and building one
+// draws no randomness. So on the first use after churn a cached tree
+// whose ordered (Node, Router) leaves equal the node's current peers is
+// kept as is, and only a tree whose peers changed is rebuilt: the cache
+// never holds content a fresh build would not produce.
 func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
-	if t := cs.trees[p]; t != nil {
-		return t, nil
+	cached := cs.trees[p]
+	if cached != nil && cs.treeGen[p] == cs.churnGen {
+		return cached, nil
 	}
 	i := cs.ringOfSlab[p]
 	if i == overlay.NoIndex {
@@ -414,6 +424,10 @@ func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
 			Node: cs.Overlay.ID(j), Router: cs.routers[cs.slabOf[j]],
 		})
 	}
+	if cached != nil && sameLeaves(cached.Leaves, cs.leafScratch) {
+		cs.treeGen[p] = cs.churnGen
+		return cached, nil
+	}
 	bfs, err := cs.Topo.BFSInto(&cs.bfsScratch, cs.routers[p])
 	if err != nil {
 		return nil, fmt.Errorf("core: build tree for %s: %w", cs.Overlay.ID(i).Short(), err)
@@ -423,19 +437,34 @@ func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
 		return nil, fmt.Errorf("core: build tree for %s: %w", cs.Overlay.ID(i).Short(), err)
 	}
 	cs.trees[p] = tree
+	cs.treeGen[p] = cs.churnGen
 	return tree, nil
 }
 
-// invalidateTrees drops every cached tree. Conservative but correct:
-// a churn event shifts ring indices and can change any node's derived
-// leaf set, and a rebuild is deterministic, so the only cost is the
-// lazy rebuild of trees that are actually consulted again. In-flight
-// paths captured from an old tree stay intact — BuildTreeBFS never
-// aliases old storage.
-func (cs *CompactSystem) invalidateTrees() {
-	for p := range cs.trees {
-		cs.trees[p] = nil
+// sameLeaves reports whether a tree's leaves are exactly peers, in
+// order, by node and router. Paths are not compared: over the immutable
+// graph they follow from the routers.
+func sameLeaves(leaves, peers []tomography.Leaf) bool {
+	if len(leaves) != len(peers) {
+		return false
 	}
+	for k := range peers {
+		if leaves[k].Node != peers[k].Node || leaves[k].Router != peers[k].Router {
+			return false
+		}
+	}
+	return true
+}
+
+// invalidateTrees marks every cached tree stale after a churn event. A
+// membership change shifts ring indices and can change any node's
+// derived peer list, but most lists come through unchanged, so instead
+// of dropping the cache it bumps the churn generation: each tree is
+// revalidated (and rebuilt only if its peers changed) on its next use.
+// In-flight paths captured from a replaced tree stay intact —
+// BuildTreeBFS never aliases old storage.
+func (cs *CompactSystem) invalidateTrees() {
+	cs.churnGen++
 }
 
 // FailNode removes a node: the overlay repairs every survivor in ring
@@ -467,6 +496,7 @@ func (cs *CompactSystem) FailNode(failed id.ID) error {
 		cs.departedSlab = make(map[id.ID]uint32)
 	}
 	cs.departedSlab[failed] = slab
+	cs.trees[slab] = nil
 	cs.invalidateTrees()
 	return nil
 }
@@ -496,6 +526,7 @@ func (cs *CompactSystem) JoinNode(router topology.RouterID) (id.ID, error) {
 	cs.msgSeq = append(cs.msgSeq, 0)
 	cs.fwdSeq = append(cs.fwdSeq, 0)
 	cs.trees = append(cs.trees, nil)
+	cs.treeGen = append(cs.treeGen, 0)
 	cs.sweeps = append(cs.sweeps, nil)
 	cs.slabOf = append(cs.slabOf, 0)
 	copy(cs.slabOf[k+1:], cs.slabOf[k:])
@@ -545,5 +576,6 @@ func (cs *CompactSystem) Footprint() int64 {
 	total += int64(len(cs.pubKeys) + len(cs.privKeys) + len(cs.certSigs))
 	total += int64(len(cs.msgSeq)+len(cs.fwdSeq)) * 8
 	total += int64(len(cs.trees)+len(cs.sweeps)) * 8
+	total += int64(len(cs.treeGen)) * 4
 	return total
 }

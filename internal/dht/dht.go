@@ -9,7 +9,7 @@ package dht
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"concilium/internal/id"
@@ -26,8 +26,11 @@ const DefaultReplicas = 4
 type Store struct {
 	ring     *overlay.Ring
 	replicas int
-	nodes    map[id.ID]*nodeStore
-	faulty   map[id.ID]bool
+	// held maps a replica to the values it stores, by key. Only replicas
+	// that have accepted a write appear, so a rebalance costs the stored
+	// values, not the membership.
+	held   map[id.ID]map[id.ID][][]byte
+	faulty map[id.ID]bool
 
 	met storeMetrics
 }
@@ -39,10 +42,6 @@ type storeMetrics struct {
 	putsDeg, getsDeg *metrics.Counter
 	putWall, getWall *metrics.Histogram
 	valueBytes       *metrics.Counter
-}
-
-type nodeStore struct {
-	values map[id.ID][][]byte
 }
 
 // New creates a store replicating each key onto the `replicas` closest
@@ -57,16 +56,12 @@ func New(ring *overlay.Ring, replicas int) (*Store, error) {
 	if replicas > ring.Size() {
 		replicas = ring.Size()
 	}
-	s := &Store{
+	return &Store{
 		ring:     ring,
 		replicas: replicas,
-		nodes:    make(map[id.ID]*nodeStore, ring.Size()),
+		held:     make(map[id.ID]map[id.ID][][]byte),
 		faulty:   make(map[id.ID]bool),
-	}
-	for _, m := range ring.Members() {
-		s.nodes[m] = &nodeStore{values: make(map[id.ID][][]byte)}
-	}
-	return s, nil
+	}, nil
 }
 
 // SetMetrics publishes the store's operation counters, degraded-op
@@ -90,21 +85,21 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 // campaign's scheduled replica outages) to check that replication
 // tolerates bad replicas.
 func (s *Store) SetFaulty(node id.ID, faulty bool) error {
-	if _, ok := s.nodes[node]; !ok {
+	if !s.ring.Contains(node) {
 		return fmt.Errorf("dht: unknown node %s", node.Short())
 	}
 	s.faulty[node] = faulty
 	return nil
 }
 
-// FaultyCount returns the number of currently faulty members.
+// FaultyCount returns the number of currently faulty members. Marks
+// exist only for members: SetFaulty rejects strangers and Rebalance
+// drops the marks of departed nodes.
 func (s *Store) FaultyCount() int {
 	n := 0
-	for node, bad := range s.faulty {
+	for _, bad := range s.faulty {
 		if bad {
-			if _, ok := s.nodes[node]; ok {
-				n++
-			}
+			n++
 		}
 	}
 	return n
@@ -128,13 +123,11 @@ func (h Health) Degraded() bool { return h.Live < h.Total }
 // read-your-writes durability at every instant, not just after repair.
 func (h Health) Quorum() bool { return 2*h.Live > h.Total }
 
-// ReplicaSet returns the members responsible for key, nearest first.
+// ReplicaSet returns the members responsible for key, nearest first:
+// a walk outward from key's place on the sorted ring, O(log N + k) with
+// one k-sized allocation.
 func (s *Store) ReplicaSet(key id.ID) []id.ID {
-	members := s.ring.Members()
-	out := make([]id.ID, len(members))
-	copy(out, members)
-	sort.Slice(out, func(i, j int) bool { return id.Closer(out[i], out[j], key) })
-	return out[:s.replicas]
+	return s.ring.AppendNearest(key, s.replicas, make([]id.ID, 0, s.replicas))
 }
 
 // Put stores value under key on every live replica. It fails only when
@@ -161,18 +154,14 @@ func (s *Store) PutChecked(key id.ID, value []byte) (Health, error) {
 		if s.faulty[r] {
 			continue
 		}
-		ns := s.nodes[r]
-		// Deduplicate identical values on the same replica.
-		dup := false
-		for _, v := range ns.values[key] {
-			if bytes.Equal(v, value) {
-				dup = true
-				break
-			}
+		held := s.held[r]
+		if held == nil {
+			held = make(map[id.ID][][]byte)
+			s.held[r] = held
 		}
-		if !dup {
-			cp := append([]byte(nil), value...)
-			ns.values[key] = append(ns.values[key], cp)
+		// Deduplicate identical values on the same replica.
+		if !containsValue(held[key], value) {
+			held[key] = append(held[key], append([]byte(nil), value...))
 		}
 		h.Live++
 	}
@@ -210,7 +199,7 @@ func (s *Store) GetChecked(key id.ID) ([][]byte, Health, error) {
 			continue
 		}
 		h.Live++
-		for _, v := range s.nodes[r].values[key] {
+		for _, v := range s.held[r][key] {
 			k := string(v)
 			if !seen[k] {
 				seen[k] = true
@@ -242,11 +231,17 @@ func (s *Store) KeyHealth(key id.ID) Health {
 // Load returns the number of keys a node is responsible for — used to
 // check replica balance.
 func (s *Store) Load(node id.ID) int {
-	ns, ok := s.nodes[node]
-	if !ok {
-		return 0
+	return len(s.held[node])
+}
+
+// containsValue reports whether values holds a copy of v.
+func containsValue(values [][]byte, v []byte) bool {
+	for _, w := range values {
+		if bytes.Equal(w, v) {
+			return true
+		}
 	}
-	return len(ns.values)
+	return false
 }
 
 // Rebalance migrates the store onto a new membership ring: every value
@@ -259,50 +254,57 @@ func (s *Store) Rebalance(newRing *overlay.Ring) error {
 	if newRing == nil {
 		return fmt.Errorf("dht: nil ring")
 	}
-	// Collect surviving values: only from live members of the OLD ring
-	// that remain live (faulty nodes contribute nothing).
-	type kv struct {
-		key   id.ID
-		value []byte
-	}
-	var survivors []kv
-	seen := make(map[string]bool)
-	for node, ns := range s.nodes {
-		if s.faulty[node] {
-			continue
+	// Re-put surviving values in a fixed order — keys ascending; per
+	// key, holders in old ring order, each holder's values in stored
+	// order — so the re-puts, and every read after them, come out the
+	// same on every run. Faulty holders contribute nothing; a value held
+	// by several replicas is re-put once.
+	holders := make([]id.ID, 0, len(s.held))
+	for node := range s.held {
+		if !s.faulty[node] {
+			holders = append(holders, node)
 		}
-		for key, values := range ns.values {
+	}
+	slices.SortFunc(holders, id.Cmp)
+	survivors := make(map[id.ID][][]byte)
+	for _, node := range holders {
+		for key, values := range s.held[node] {
+			have := survivors[key]
 			for _, v := range values {
-				dedupe := string(key[:]) + "\x00" + string(v)
-				if !seen[dedupe] {
-					seen[dedupe] = true
-					survivors = append(survivors, kv{key: key, value: v})
+				if !containsValue(have, v) {
+					have = append(have, v)
 				}
 			}
+			survivors[key] = have
 		}
 	}
+	keys := make([]id.ID, 0, len(survivors))
+	for key := range survivors {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, id.Cmp)
 
 	replicas := s.replicas
 	if replicas > newRing.Size() {
 		replicas = newRing.Size()
 	}
-	fresh := make(map[id.ID]*nodeStore, newRing.Size())
 	faulty := make(map[id.ID]bool)
-	for _, m := range newRing.Members() {
-		fresh[m] = &nodeStore{values: make(map[id.ID][][]byte)}
-		if s.faulty[m] {
-			faulty[m] = true // a faulty node stays faulty across churn
+	for node, bad := range s.faulty {
+		if bad && newRing.Contains(node) {
+			faulty[node] = true // a faulty node stays faulty across churn
 		}
 	}
 	s.ring = newRing
 	s.replicas = replicas
-	s.nodes = fresh
+	s.held = make(map[id.ID]map[id.ID][][]byte)
 	s.faulty = faulty
 
-	for _, item := range survivors {
-		// Best effort: a key whose whole new replica set is faulty is
-		// dropped rather than failing the rebalance.
-		_ = s.Put(item.key, item.value)
+	for _, key := range keys {
+		for _, v := range survivors[key] {
+			// Best effort: a key whose whole new replica set is faulty is
+			// dropped rather than failing the rebalance.
+			_ = s.Put(key, v)
+		}
 	}
 	return nil
 }

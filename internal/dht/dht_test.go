@@ -1,13 +1,17 @@
 package dht
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"concilium/internal/core"
 	"concilium/internal/id"
+	"concilium/internal/metrics"
 	"concilium/internal/overlay"
 	"concilium/internal/sigcrypto"
 	"concilium/internal/tomography"
@@ -584,4 +588,145 @@ func testRingQuick(n int, r *rand.Rand) (*overlay.Ring, []id.ID) {
 		panic(err)
 	}
 	return ring, ids
+}
+
+// sortedReplicaSet is the reference ReplicaSet: every member sorted by
+// id.Closer to key, cut to the replica count.
+func sortedReplicaSet(ring *overlay.Ring, key id.ID, replicas int) []id.ID {
+	out := append([]id.ID(nil), ring.Members()...)
+	sort.Slice(out, func(i, j int) bool { return id.Closer(out[i], out[j], key) })
+	return out[:min(replicas, len(out))]
+}
+
+// clusteredID draws an identifier from two small clusters at either end
+// of the identifier space, so rings built from them wrap around zero and
+// keys often sit exactly between two members (distance ties).
+func clusteredID(r *rand.Rand) id.ID {
+	if r.IntN(2) == 0 {
+		return id.Pair{Lo: r.Uint64N(48)}.ID()
+	}
+	return id.Pair{Hi: ^uint64(0), Lo: ^uint64(0) - r.Uint64N(48)}.ID()
+}
+
+// TestReplicaSetMatchesSortOracle checks the ring walk against a full
+// sort by id.Closer over random and clustered rings, for every replica
+// count from 1 to N+1 and for keys that are members and non-members.
+func TestReplicaSetMatchesSortOracle(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(23, 24))
+	for trial := 0; trial < 60; trial++ {
+		clustered := trial%2 == 1
+		draw := func(r *rand.Rand) id.ID { return id.Random(r) }
+		if clustered {
+			draw = clusteredID
+		}
+		n := 1 + r.IntN(24)
+		seen := map[id.ID]bool{}
+		var members []id.ID
+		for attempts := 0; len(members) < n && attempts < 1000; attempts++ {
+			if x := draw(r); !seen[x] {
+				seen[x] = true
+				members = append(members, x)
+			}
+		}
+		ring, err := overlay.NewRing(members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := []id.ID{members[r.IntN(len(members))], draw(r), draw(r), id.Zero}
+		for replicas := 1; replicas <= ring.Size()+1; replicas++ {
+			s, err := New(ring, replicas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range keys {
+				got, want := s.ReplicaSet(key), sortedReplicaSet(ring, key, replicas)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d n=%d k=%d: %d replicas, oracle %d", trial, ring.Size(), replicas, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d n=%d k=%d key %s: replica %d is %s, oracle %s",
+							trial, ring.Size(), replicas, key, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestReplicaSetAllocs(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 26))
+	ring, _ := testRing(t, 500, r)
+	s, err := New(ring, DefaultReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := id.Random(r)
+	if allocs := testing.AllocsPerRun(100, func() { s.ReplicaSet(key) }); allocs > 1 {
+		t.Errorf("ReplicaSet allocates %.1f times per call, want at most 1", allocs)
+	}
+}
+
+// TestRebalanceOrderDeterministic stores values under one key while a
+// different replica is out for each put, so every replica holds its own
+// subset, then rebalances. The re-put order — and with it Get's order —
+// must be the fixed one (holders in ring order, each in stored order),
+// not whatever order a map iteration happens to visit the holders in.
+func TestRebalanceOrderDeterministic(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(27, 28))
+	ring, _ := testRing(t, 20, r)
+	key := id.Random(r)
+	values := make([][]byte, 6)
+	for i := range values {
+		values[i] = []byte{'v', byte('0' + i)}
+	}
+	for run := 0; run < 30; run++ {
+		reg := metrics.NewRegistry()
+		s, err := New(ring, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetMetrics(reg)
+		set := s.ReplicaSet(key)
+		for i, v := range values {
+			out := set[i%len(set)]
+			if err := s.SetFaulty(out, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(key, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetFaulty(out, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		holders := append([]id.ID(nil), set...)
+		sort.Slice(holders, func(i, j int) bool { return id.Less(holders[i], holders[j]) })
+		var want [][]byte
+		for _, h := range holders {
+			for i, v := range values {
+				if set[i%len(set)] != h && !slices.ContainsFunc(want, func(w []byte) bool { return bytes.Equal(w, v) }) {
+					want = append(want, v)
+				}
+			}
+		}
+		putsBefore := reg.Counter("dht/puts").Value()
+		if err := s.Rebalance(ring); err != nil {
+			t.Fatal(err)
+		}
+		if puts := reg.Counter("dht/puts").Value() - putsBefore; puts != uint64(len(values)) {
+			t.Fatalf("run %d: rebalance counted %d puts, want one per value (%d)", run, puts, len(values))
+		}
+		got := s.Get(key)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d values after rebalance, want %d", run, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("run %d: value %d after rebalance is %q, want %q (order %q)", run, i, got[i], want[i], got)
+			}
+		}
+	}
 }

@@ -139,6 +139,34 @@ func (r *Ring) Closest(target id.ID, skip map[id.ID]bool) (id.ID, bool) {
 	return best, found
 }
 
+// AppendNearest appends the min(k, Size) members nearest target to out,
+// nearest first under id.Closer (ties favour the smaller identifier),
+// and returns the extended slice. Members within any ring distance of
+// target form an arc around its insertion point, so two fronts walk
+// outward from it — clockwise from the first member >= target, counter-
+// clockwise from the one before — and each step takes the closer front.
+// A member past the antipode on one front is always reached first by
+// the other, so the fronts never cross before k members are taken.
+// O(log N + k), allocating only if out lacks capacity.
+func (r *Ring) AppendNearest(target id.ID, k int, out []id.ID) []id.ID {
+	n := len(r.ids)
+	if k > n {
+		k = n
+	}
+	cw := r.searchGE(target) % n
+	ccw := (cw + n - 1) % n
+	for ; k > 0; k-- {
+		if id.Closer(r.ids[ccw], r.ids[cw], target) {
+			out = append(out, r.ids[ccw])
+			ccw = (ccw + n - 1) % n
+		} else {
+			out = append(out, r.ids[cw])
+			cw = (cw + 1) % n
+		}
+	}
+	return out
+}
+
 // prefixRange returns the numeric bounds [lo, hi] of identifiers sharing
 // the first prefixLen digits of base.
 func prefixRange(base id.ID, prefixLen int) (lo, hi id.ID) {

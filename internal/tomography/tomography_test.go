@@ -53,7 +53,7 @@ func fixtureTree(t *testing.T) (*topology.Graph, *Tree, []id.ID) {
 
 func TestBuildTreeStructure(t *testing.T) {
 	t.Parallel()
-	_, tree, peers := fixtureTree(t)
+	g, tree, peers := fixtureTree(t)
 	if len(tree.Leaves) != 3 {
 		t.Fatalf("leaves = %d", len(tree.Leaves))
 	}
@@ -72,6 +72,56 @@ func TestBuildTreeStructure(t *testing.T) {
 	}
 	if _, ok := tree.PathTo(id.Zero); ok {
 		t.Error("unknown peer has a path")
+	}
+	requireLinksMatchPaths(t, g, tree)
+
+	// A generated topology, whose leaf paths overlap heavily, and a peer
+	// list with repeats: Links must still be the duplicate-free union.
+	gen, err := topology.Generate(topology.TestConfig(), testRand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := gen.EndHosts()
+	r := testRand()
+	var leaves []Leaf
+	for i := 0; i < 40; i++ {
+		leaves = append(leaves, Leaf{Node: id.Random(r), Router: hosts[r.IntN(len(hosts))]})
+	}
+	leaves = append(leaves, leaves[3], leaves[7])
+	big, err := BuildTree(gen, id.Random(r), hosts[0], leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLinksMatchPaths(t, gen, big)
+}
+
+// requireLinksMatchPaths checks a tree's link set against its leaf
+// paths: Links is their sorted, duplicate-free union, and Contains
+// agrees with it on every link of the graph.
+func requireLinksMatchPaths(t *testing.T, g *topology.Graph, tree *Tree) {
+	t.Helper()
+	union := map[topology.LinkID]bool{}
+	for _, leaf := range tree.Leaves {
+		for _, l := range leaf.Path {
+			union[l] = true
+		}
+	}
+	links := tree.Links()
+	if len(links) != len(union) {
+		t.Fatalf("Links has %d entries, leaf paths cover %d distinct links", len(links), len(union))
+	}
+	for i, l := range links {
+		if !union[l] {
+			t.Fatalf("Links holds %d, which no leaf path crosses", l)
+		}
+		if i > 0 && links[i-1] >= l {
+			t.Fatalf("Links not strictly ascending at %d: %d then %d", i, links[i-1], l)
+		}
+	}
+	for l := topology.LinkID(0); int(l) < g.NumLinks(); l++ {
+		if tree.Contains(l) != union[l] {
+			t.Fatalf("Contains(%d) = %v, leaf paths say %v", l, tree.Contains(l), union[l])
+		}
 	}
 }
 
@@ -95,6 +145,7 @@ func TestBuildTreeSkipsUnreachable(t *testing.T) {
 	if len(tree.Leaves) != 1 {
 		t.Errorf("leaves = %d, want 1 (unreachable skipped)", len(tree.Leaves))
 	}
+	requireLinksMatchPaths(t, g, tree)
 }
 
 func TestBuildForestCoverage(t *testing.T) {

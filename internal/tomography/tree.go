@@ -9,6 +9,7 @@ package tomography
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"concilium/internal/id"
@@ -32,8 +33,9 @@ type Tree struct {
 	RootRouter topology.RouterID
 	Leaves     []Leaf
 
-	links   []topology.LinkID
-	linkSet map[topology.LinkID]struct{}
+	// links is the sorted, de-duplicated union of the leaf paths, sized
+	// exactly; membership is a binary search over it.
+	links []topology.LinkID
 }
 
 // BuildTree derives T_H from the topology: one BFS from the root router,
@@ -62,6 +64,9 @@ func BuildTree(g *topology.Graph, root id.ID, rootRouter topology.RouterID, peer
 // of peer count. The produced tree is freshly allocated and never
 // aliases a previous tree's storage: outstanding references to an old
 // tree's paths (e.g. the failure injector's candidate set) stay intact.
+// The tree is a pure function of bfs and the ordered peers and draws no
+// randomness, which is what lets the compact core keep a cached tree
+// across churn whenever a node's ordered peer list is unchanged.
 func BuildTreeBFS(bfs *topology.RouteTree, root id.ID, rootRouter topology.RouterID, peers []Leaf) (*Tree, error) {
 	if bfs == nil {
 		return nil, fmt.Errorf("tomography: nil route tree")
@@ -69,11 +74,7 @@ func BuildTreeBFS(bfs *topology.RouteTree, root id.ID, rootRouter topology.Route
 	if bfs.Source != rootRouter {
 		return nil, fmt.Errorf("tomography: route tree rooted at %d, want %d", bfs.Source, rootRouter)
 	}
-	t := &Tree{
-		Root:       root,
-		RootRouter: rootRouter,
-		linkSet:    make(map[topology.LinkID]struct{}),
-	}
+	t := &Tree{Root: root, RootRouter: rootRouter}
 	reachable, totalHops := 0, 0
 	for _, p := range peers {
 		if h := bfs.HopCount(p.Router); h >= 0 {
@@ -95,14 +96,11 @@ func BuildTreeBFS(bfs *topology.RouteTree, root id.ID, rootRouter topology.Route
 		}
 		path := flat[start:len(flat):len(flat)]
 		t.Leaves = append(t.Leaves, Leaf{Node: p.Node, Router: p.Router, Path: path})
-		for _, l := range path {
-			if _, seen := t.linkSet[l]; !seen {
-				t.linkSet[l] = struct{}{}
-				t.links = append(t.links, l)
-			}
-		}
 	}
-	sort.Slice(t.links, func(i, j int) bool { return t.links[i] < t.links[j] })
+	links := slices.Clone(flat)
+	slices.Sort(links)
+	links = slices.Compact(links)
+	t.links = append(make([]topology.LinkID, 0, len(links)), links...)
 	return t, nil
 }
 
@@ -112,7 +110,7 @@ func (t *Tree) Links() []topology.LinkID { return t.links }
 
 // Contains reports whether link l is part of the tree.
 func (t *Tree) Contains(l topology.LinkID) bool {
-	_, ok := t.linkSet[l]
+	_, ok := slices.BinarySearch(t.links, l)
 	return ok
 }
 
