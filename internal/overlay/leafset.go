@@ -84,11 +84,14 @@ func (ls *LeafSet) Remove(peer id.ID) bool {
 func (ls *LeafSet) rebuild() {
 	bySide := func(clockwise bool) []id.ID {
 		out := append([]id.ID(nil), ls.members...)
+		// Exact 128-bit distances: id.Spacing flattens to float64, so
+		// identifiers a few ulps apart (an eclipse cluster) would tie and
+		// the unstable sort could keep a peer that is not the closest.
 		sort.Slice(out, func(i, j int) bool {
 			if clockwise {
-				return id.Spacing(ls.owner, out[i]) < id.Spacing(ls.owner, out[j])
+				return id.Less(id.Clockwise(ls.owner, out[i]), id.Clockwise(ls.owner, out[j]))
 			}
-			return id.Spacing(out[i], ls.owner) < id.Spacing(out[j], ls.owner)
+			return id.Less(id.Clockwise(out[i], ls.owner), id.Clockwise(out[j], ls.owner))
 		})
 		if len(out) > ls.perSide {
 			out = out[:ls.perSide]
