@@ -9,63 +9,83 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
+	"os"
 	"time"
 
 	"concilium/internal/core"
 	"concilium/internal/dht"
 	"concilium/internal/id"
+	"concilium/internal/overlay"
 	"concilium/internal/topology"
 )
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(w io.Writer) error {
 	cfg := core.DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(91, 97))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := sys.StartProbing(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.Run(5 * time.Minute)
-	fmt.Printf("overlay: %d nodes; archive: %d probe records\n", len(sys.Order), sys.Archive.Size())
+	fmt.Fprintf(w, "overlay: %d nodes; archive: %d probe records\n", sys.Size(), sys.Archive.Size())
 
-	// An accusation published before the churn.
-	store, err := dht.New(sys.Ring, dht.DefaultReplicas)
+	// An accusation published before the churn. The DHT keeps its own
+	// snapshot of the membership and is rebalanced onto a new one after
+	// the churn.
+	ring, err := overlay.NewRing(sys.Overlay.IDs())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	repo, err := dht.NewAccusationRepo(store, sys.Keys(), cfg.Blame.GuiltyThreshold)
+	store, err := dht.New(ring, dht.DefaultReplicas)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	src, dst, route := findRoute(sys)
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
+	if err != nil {
+		return err
+	}
+	src, dst, route, err := findRoute(sys)
+	if err != nil {
+		return err
+	}
 	dropper := route[1]
-	sys.Nodes[dropper].Behavior = core.Behavior{DropsMessages: true}
+	if err := sys.SetBehavior(dropper, core.Behavior{DropsMessages: true}); err != nil {
+		return err
+	}
 	rep, err := sys.SendMessage(src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if rep.Chain == nil {
-		log.Fatal("expected an accusation chain")
+		return errors.New("expected an accusation chain")
 	}
 	if err := repo.Publish(rep.Chain); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	n, _ := repo.Count(dropper)
-	fmt.Printf("dropper %s accused; DHT holds %d record(s)\n\n", dropper.Short(), n)
+	fmt.Fprintf(w, "dropper %s accused; DHT holds %d record(s)\n\n", dropper.Short(), n)
 
 	// Churn: fail three nodes (never the parties above), join two.
 	failed := 0
-	for _, nid := range sys.Order {
+	for _, nid := range sys.AliveIDs() {
 		if failed == 3 {
 			break
 		}
@@ -73,14 +93,14 @@ func main() {
 			continue
 		}
 		if err := sys.FailNode(nid); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		failed++
 	}
 	joined := 0
 	used := map[topology.RouterID]bool{}
-	for _, nid := range sys.Order {
-		used[sys.Nodes[nid].Router] = true
+	for i := 0; i < sys.Size(); i++ {
+		used[sys.Router(uint32(i))] = true
 	}
 	for _, h := range sys.Topo.EndHosts() {
 		if joined == 2 {
@@ -90,39 +110,47 @@ func main() {
 			continue
 		}
 		if _, err := sys.JoinNode(h); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		joined++
 	}
-	fmt.Printf("churn: %d failed, %d joined -> %d nodes\n", failed, joined, len(sys.Order))
+	fmt.Fprintf(w, "churn: %d failed, %d joined -> %d nodes\n", failed, joined, sys.Size())
 
 	// The DHT re-homes onto the new membership.
-	if err := store.Rebalance(sys.Ring); err != nil {
-		log.Fatal(err)
+	ring, err = overlay.NewRing(sys.Overlay.IDs())
+	if err != nil {
+		return err
+	}
+	if err := store.Rebalance(ring); err != nil {
+		return err
 	}
 	n, err = repo.Count(dropper)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("accusations surviving rebalance: %d\n", n)
+	fmt.Fprintf(w, "accusations surviving rebalance: %d\n", n)
 
 	// Diagnosis still lands on the dropper after the shuffle.
 	sys.Run(3 * time.Minute) // fresh probes over rebuilt trees
 	rep, err = sys.SendMessage(src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if rep.Delivered {
-		fmt.Println("note: the new route avoids the dropper entirely")
+		fmt.Fprintln(w, "note: the new route avoids the dropper entirely")
 	} else {
-		fmt.Printf("post-churn culprit: %s (ground truth %s, correct: %v)\n",
+		fmt.Fprintf(w, "post-churn culprit: %s (ground truth %s, correct: %v)\n",
 			rep.Culprit.Short(), dropper.Short(), rep.Culprit == dropper)
 	}
+	return nil
 }
 
-func findRoute(sys *core.System) (src, dst id.ID, route []id.ID) {
-	for _, a := range sys.Order {
-		for _, b := range sys.Order {
+// findRoute sends test messages between members, in membership order,
+// until one takes a route of at least two overlay hops.
+func findRoute(sys *core.CompactSystem) (src, dst id.ID, route []id.ID, err error) {
+	members := sys.AliveIDs()
+	for _, a := range members {
+		for _, b := range members {
 			if a == b {
 				continue
 			}
@@ -130,8 +158,8 @@ func findRoute(sys *core.System) (src, dst id.ID, route []id.ID) {
 			if err != nil || len(rep.Route) < 3 {
 				continue
 			}
-			return a, b, rep.Route
+			return a, b, rep.Route, nil
 		}
 	}
-	panic("no multi-hop route; try another seed")
+	return id.ID{}, id.ID{}, nil, errors.New("no multi-hop route; try another seed")
 }

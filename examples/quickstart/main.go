@@ -10,9 +10,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
+	"os"
 	"time"
 
 	"concilium/internal/core"
@@ -22,72 +25,91 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	// 1. Build the deployment: IP topology, CA, overlay, trees.
+func run(w io.Writer) error {
+	// 1. Build the deployment: IP topology, CA, overlay.
 	cfg := core.DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(2026, 7))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("overlay of %d nodes atop %d routers / %d links\n",
-		len(sys.Order), sys.Topo.NumRouters(), sys.Topo.NumLinks())
+	fmt.Fprintf(w, "overlay of %d nodes atop %d routers / %d links\n",
+		sys.Size(), sys.Topo.NumRouters(), sys.Topo.NumLinks())
 
 	// 2. Start collaborative probing and let the archive warm up.
 	if err := sys.StartProbing(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.Run(5 * time.Minute)
-	fmt.Printf("after 5 virtual minutes: %d disseminated probe records\n\n", sys.Archive.Size())
+	fmt.Fprintf(w, "after 5 virtual minutes: %d disseminated probe records\n\n", sys.Archive.Size())
 
 	// Find a multi-hop route to play with.
-	src, dst, route := findRoute(sys)
-	fmt.Printf("route: %s\n\n", routeString(route))
+	src, dst, route, err := findRoute(sys)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "route: %s\n\n", routeString(route))
 
 	// 3. Scenario A — the network drops the message.
-	path, err := sys.Nodes[route[0]].PathToPeer(route[1])
+	i, _ := sys.Overlay.IndexOf(route[0])
+	tree, err := sys.CachedTree(i)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	path, ok := tree.PathTo(route[1])
+	if !ok {
+		return fmt.Errorf("%s has no path to its next hop", route[0].Short())
 	}
 	if err := sys.Net.SetLinkDown(path[0], true); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.Run(3 * time.Minute) // probes observe the outage
 	rep, err := sys.SendMessage(src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("scenario A: IP link %d failed\n", path[0])
-	fmt.Printf("  delivered: %v, network blamed: %v (correct: the overlay peers are innocent)\n\n",
+	fmt.Fprintf(w, "scenario A: IP link %d failed\n", path[0])
+	fmt.Fprintf(w, "  delivered: %v, network blamed: %v (correct: the overlay peers are innocent)\n\n",
 		rep.Delivered, rep.NetworkBlamed)
 	if err := sys.Net.SetLinkDown(path[0], false); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.Run(3 * time.Minute) // probes observe the repair
 
 	// 4. Scenario B — a forwarder drops the message.
 	dropper := route[1]
-	sys.Nodes[dropper].Behavior = core.Behavior{DropsMessages: true}
+	if err := sys.SetBehavior(dropper, core.Behavior{DropsMessages: true}); err != nil {
+		return err
+	}
 	rep, err = sys.SendMessage(src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("scenario B: forwarder %s silently drops\n", dropper.Short())
-	fmt.Printf("  delivered: %v, culprit: %s (ground truth: %s)\n",
+	fmt.Fprintf(w, "scenario B: forwarder %s silently drops\n", dropper.Short())
+	fmt.Fprintf(w, "  delivered: %v, culprit: %s (ground truth: %s)\n",
 		rep.Delivered, rep.Culprit.Short(), dropper.Short())
 	if rep.Chain != nil {
-		err := rep.Chain.Verify(sys.Keys(), cfg.Blame.GuiltyThreshold)
-		fmt.Printf("  accusation chain of %d link(s) verifies independently: %v\n",
+		err := rep.Chain.Verify(sys.KeyDir(), cfg.Blame.GuiltyThreshold)
+		fmt.Fprintf(w, "  accusation chain of %d link(s) verifies independently: %v\n",
 			len(rep.Chain.Links), err == nil)
 	}
+	return nil
 }
 
-func findRoute(sys *core.System) (src, dst id.ID, route []id.ID) {
-	for _, a := range sys.Order {
-		for _, b := range sys.Order {
+// findRoute sends test messages between members, in membership order,
+// until one takes a route of at least two overlay hops.
+func findRoute(sys *core.CompactSystem) (src, dst id.ID, route []id.ID, err error) {
+	members := sys.AliveIDs()
+	for _, a := range members {
+		for _, b := range members {
 			if a == b {
 				continue
 			}
@@ -95,10 +117,10 @@ func findRoute(sys *core.System) (src, dst id.ID, route []id.ID) {
 			if err != nil || len(rep.Route) < 3 {
 				continue
 			}
-			return a, b, rep.Route
+			return a, b, rep.Route, nil
 		}
 	}
-	panic("no multi-hop route in this overlay; try another seed")
+	return id.ID{}, id.ID{}, nil, errors.New("no multi-hop route in this overlay; try another seed")
 }
 
 func routeString(route []id.ID) string {

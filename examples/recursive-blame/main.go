@@ -11,48 +11,79 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
+	"os"
 	"time"
 
 	"concilium/internal/core"
 	"concilium/internal/dht"
 	"concilium/internal/id"
+	"concilium/internal/overlay"
+	"concilium/internal/sigcrypto"
+	"concilium/internal/tomography"
 	"concilium/internal/topology"
 )
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(w io.Writer) error {
 	cfg := core.DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(11, 13))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := sys.StartProbing(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.Run(5 * time.Minute)
 	now := sys.Sim.Now()
 
+	keysOf := func(x id.ID) sigcrypto.KeyPair {
+		i, _ := sys.Overlay.IndexOf(x)
+		return sys.Keys(i)
+	}
+	pathTo := func(from, to id.ID) ([]topology.LinkID, error) {
+		tree, err := treeOf(sys, from)
+		if err != nil {
+			return nil, err
+		}
+		path, ok := tree.PathTo(to)
+		if !ok {
+			return nil, fmt.Errorf("%s has no path to %s", from.Short(), to.Short())
+		}
+		return path, nil
+	}
+
 	// Build the forwarding chain A → B → C → D from routing-peer
 	// relationships, plus a destination Z past D.
-	chainIDs := buildChain(sys, 5) // A, B, C, D, Z
+	chainIDs, err := buildChain(sys, 5) // A, B, C, D, Z
+	if err != nil {
+		return err
+	}
 	a, b, c, d, z := chainIDs[0], chainIDs[1], chainIDs[2], chainIDs[3], chainIDs[4]
-	fmt.Printf("forwarding chain: %s -> %s -> %s -> %s -> %s\n",
+	fmt.Fprintf(w, "forwarding chain: %s -> %s -> %s -> %s -> %s\n",
 		a.Short(), b.Short(), c.Short(), d.Short(), z.Short())
-	fmt.Printf("D (%s) silently drops the message; all chain links healthy\n\n", d.Short())
+	fmt.Fprintf(w, "D (%s) silently drops the message; all chain links healthy\n\n", d.Short())
 
 	// Every steward holds the next hop's signed forwarding commitment
-	// (§3.6), batched onto availability-probe responses.
-	msgID := sys.Nodes[a].NextMsgID()
+	// (§3.6), batched onto availability-probe responses. The message is
+	// the first A originates.
+	const msgID = 1
 	commit := func(from, via id.ID) core.Commitment {
-		return core.NewCommitment(sys.Nodes[via].Keys, from, via, z, msgID, now)
+		return core.NewCommitment(keysOf(via), from, via, z, msgID, now)
 	}
 
 	// Z never acknowledges, so A, B, and C each judge their next hop
@@ -60,32 +91,32 @@ func main() {
 	stewards := []id.ID{a, b, c}
 	nexts := []id.ID{b, c, d}
 	var accusations []core.Accusation
-	fmt.Println("per-steward verdicts:")
+	fmt.Fprintln(w, "per-steward verdicts:")
 	for i, steward := range stewards {
-		span, err := sys.Nodes[steward].PathToPeer(nexts[i])
+		span, err := pathTo(steward, nexts[i])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if i+1 < len(nexts) {
-			onward, err := sys.Nodes[nexts[i]].PathToPeer(nexts[i+1])
+			onward, err := pathTo(nexts[i], nexts[i+1])
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			span = append(append([]topology.LinkID(nil), span...), onward...)
 		}
 		res, err := sys.Engine.Blame(nexts[i], span, now)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %s judges %s: blame %.2f -> %s\n",
+		fmt.Fprintf(w, "  %s judges %s: blame %.2f -> %s\n",
 			steward.Short(), nexts[i].Short(), res.Blame, verdictWord(res.Guilty))
 		if !res.Guilty {
-			log.Fatalf("unexpected innocent verdict; a chain link was probably probed down")
+			return errors.New("unexpected innocent verdict; a chain link was probably probed down")
 		}
-		acc, err := core.NewAccusation(sys.Nodes[steward].Keys, steward, res, msgID, span,
+		acc, err := core.NewAccusation(keysOf(steward), steward, res, msgID, span,
 			commit(steward, nexts[i]))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		accusations = append(accusations, acc)
 	}
@@ -94,53 +125,70 @@ func main() {
 	// to A. Mechanically, the verdicts chain into one amended accusation.
 	chain, err := core.NewRevisionChain(accusations[:1])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nA's original accusation blames: %s\n", chain.Culprit().Short())
+	fmt.Fprintf(w, "\nA's original accusation blames: %s\n", chain.Culprit().Short())
 	for _, downstream := range accusations[1:] {
 		chain, err = chain.Extend(downstream)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  amended with %s's verdict -> blames %s\n",
+		fmt.Fprintf(w, "  amended with %s's verdict -> blames %s\n",
 			downstream.Accuser.Short(), chain.Culprit().Short())
 	}
-	fmt.Printf("\nfinal culprit: %s (ground truth D: %v)\n", chain.Culprit().Short(), chain.Culprit() == d)
+	fmt.Fprintf(w, "\nfinal culprit: %s (ground truth D: %v)\n", chain.Culprit().Short(), chain.Culprit() == d)
 	for _, ex := range chain.Exonerated() {
-		fmt.Printf("exonerated: %s\n", ex.Short())
+		fmt.Fprintf(w, "exonerated: %s\n", ex.Short())
 	}
-	err = chain.Verify(sys.Keys(), cfg.Blame.GuiltyThreshold)
-	fmt.Printf("third-party verification of the amended accusation: %v\n", err == nil)
+	err = chain.Verify(sys.KeyDir(), cfg.Blame.GuiltyThreshold)
+	fmt.Fprintf(w, "third-party verification of the amended accusation: %v\n", err == nil)
 
 	// Publish into the accusation DHT; any peer considering D fetches it.
-	store, err := dht.New(sys.Ring, dht.DefaultReplicas)
+	ring, err := overlay.NewRing(sys.Overlay.IDs())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	repo, err := dht.NewAccusationRepo(store, sys.Keys(), cfg.Blame.GuiltyThreshold)
+	store, err := dht.New(ring, dht.DefaultReplicas)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
+	if err != nil {
+		return err
 	}
 	if err := repo.Publish(chain); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	n, err := repo.Count(d)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("accusations on record against %s in the DHT: %d\n", d.Short(), n)
+	fmt.Fprintf(w, "accusations on record against %s in the DHT: %d\n", d.Short(), n)
+	return nil
+}
+
+// treeOf returns a member's tomography tree.
+func treeOf(sys *core.CompactSystem, x id.ID) (*tomography.Tree, error) {
+	i, ok := sys.Overlay.IndexOf(x)
+	if !ok {
+		return nil, fmt.Errorf("%s is not a member", x.Short())
+	}
+	return sys.CachedTree(i)
 }
 
 // buildChain walks routing-peer edges to assemble a chain of distinct
 // nodes of the requested length.
-func buildChain(sys *core.System, length int) []id.ID {
-	var walk func(chain []id.ID) []id.ID
-	walk = func(chain []id.ID) []id.ID {
+func buildChain(sys *core.CompactSystem, length int) ([]id.ID, error) {
+	var walk func(chain []id.ID) ([]id.ID, error)
+	walk = func(chain []id.ID) ([]id.ID, error) {
 		if len(chain) == length {
-			return chain
+			return chain, nil
 		}
-		cur := chain[len(chain)-1]
-		for _, leaf := range sys.Nodes[cur].Tree.Leaves {
+		tree, err := treeOf(sys, chain[len(chain)-1])
+		if err != nil {
+			return nil, err
+		}
+		for _, leaf := range tree.Leaves {
 			dup := false
 			for _, seen := range chain {
 				if seen == leaf.Node {
@@ -151,19 +199,20 @@ func buildChain(sys *core.System, length int) []id.ID {
 			if dup {
 				continue
 			}
-			if out := walk(append(chain, leaf.Node)); out != nil {
-				return out
+			out, err := walk(append(chain, leaf.Node))
+			if out != nil || err != nil {
+				return out, err
 			}
 		}
-		return nil
+		return nil, nil
 	}
-	for _, start := range sys.Order {
-		if out := walk([]id.ID{start}); out != nil {
-			return out
+	for _, start := range sys.AliveIDs() {
+		out, err := walk([]id.ID{start})
+		if out != nil || err != nil {
+			return out, err
 		}
 	}
-	log.Fatal("no forwarding chain of required length")
-	return nil
+	return nil, errors.New("no forwarding chain of required length")
 }
 
 func verdictWord(guilty bool) string {

@@ -11,12 +11,13 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
+	"os"
 	"time"
 
 	"concilium/internal/core"
-	"concilium/internal/id"
 	"concilium/internal/netsim"
 	"concilium/internal/sigcrypto"
 	"concilium/internal/topology"
@@ -24,100 +25,99 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(w io.Writer) error {
 	cfg := core.DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
 	rng := rand.New(rand.NewPCG(51, 61))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	now := netsim.Time(0).Add(10 * time.Minute)
 	sys.Run(10 * time.Minute)
 
-	verifier := sys.Nodes[sys.Order[0]]
-	advertiser := sys.Nodes[sys.Order[1]]
-	localOcc := verifier.Routing.Secure.Occupancy()
-	localSpacing, err := verifier.Routing.Leaf.MeanSpacing()
+	// Members in build order, by ring position.
+	members := sys.AliveIDs()
+	at := func(k int) uint32 {
+		i, _ := sys.Overlay.IndexOf(members[k])
+		return i
+	}
+	verifier, advertiser, ghost := at(0), at(1), at(2)
+	advertiserID, ghostID := sys.NodeID(advertiser), sys.NodeID(ghost)
+	localOcc := sys.Overlay.SecureOccupancy(verifier)
+	localSpacing, err := sys.Overlay.LeafMeanSpacing(verifier)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	gamma := 1.15
 	test, err := core.NewDensityTest(gamma)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	validator := &core.SnapshotValidator{
-		Keys:             sys.Keys(),
+		Keys:             sys.KeyDir(),
 		MaxEntryAge:      3 * time.Minute,
 		JumpTest:         test,
 		LocalOccupancy:   localOcc,
 		LeafGamma:        2.0,
 		LocalLeafSpacing: localSpacing,
 	}
-	fmt.Printf("verifier %s: %d occupied jump-table slots, gamma=%.2f\n\n",
-		verifier.ID().Short(), localOcc, gamma)
-
-	peerKeys := func(p id.ID) (sigcrypto.KeyPair, bool) {
-		n, ok := sys.Nodes[p]
-		if !ok {
-			return sigcrypto.KeyPair{}, false
-		}
-		return n.Keys, true
-	}
+	fmt.Fprintf(w, "verifier %s: %d occupied jump-table slots, gamma=%.2f\n\n",
+		sys.NodeID(verifier).Short(), localOcc, gamma)
 
 	// 1. Honest advert passes every check.
-	entries, err := advertiser.BuildAdvert(int64(now), peerKeys)
-	if err != nil {
-		log.Fatal(err)
-	}
-	snap := &core.Snapshot{Prober: advertiser.ID(), At: now, Entries: entries, LeafSpacing: localSpacing}
-	snap.Sign(advertiser.Keys)
-	fmt.Printf("1. honest advert (%d entries): %s\n", len(entries), outcome(validator.Validate(snap)))
+	entries := sys.BuildAdvert(advertiser, int64(now))
+	snap := &core.Snapshot{Prober: advertiserID, At: now, Entries: entries, LeafSpacing: localSpacing}
+	snap.Sign(sys.Keys(advertiser))
+	fmt.Fprintf(w, "1. honest advert (%d entries): %s\n", len(entries), outcome(validator.Validate(snap)))
 
 	// 2. Suppression-style sparse advert: hide most peers.
-	sparse := &core.Snapshot{Prober: advertiser.ID(), At: now, Entries: entries[:len(entries)/3], LeafSpacing: localSpacing}
-	sparse.Sign(advertiser.Keys)
+	sparse := &core.Snapshot{Prober: advertiserID, At: now, Entries: entries[:len(entries)/3], LeafSpacing: localSpacing}
+	sparse.Sign(sys.Keys(advertiser))
 	err = validator.Validate(sparse)
-	fmt.Printf("2. sparse advert (%d entries): %s (want density failure: %v)\n",
+	fmt.Fprintf(w, "2. sparse advert (%d entries): %s (want density failure: %v)\n",
 		len(sparse.Entries), outcome(err), errors.Is(err, core.ErrTableTooSparse))
 
 	// 3. Inflation attack: pad the table with a stale timestamp from a
 	// long-departed peer.
-	ghost := sys.Nodes[sys.Order[2]]
-	staleTS := sigcrypto.NewTimestamp(ghost.Keys, ghost.ID(), int64(now.Add(-2*time.Hour)))
+	staleTS := sigcrypto.NewTimestamp(sys.Keys(ghost), ghostID, int64(now.Add(-2*time.Hour)))
 	inflated := &core.Snapshot{
-		Prober:      advertiser.ID(),
+		Prober:      advertiserID,
 		At:          now,
-		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghost.ID(), Freshness: staleTS}),
+		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghostID, Freshness: staleTS}),
 		LeafSpacing: localSpacing,
 	}
-	inflated.Sign(advertiser.Keys)
+	inflated.Sign(sys.Keys(advertiser))
 	err = validator.Validate(inflated)
-	fmt.Printf("3. inflation with stale timestamp: %s (want staleness failure: %v)\n",
+	fmt.Fprintf(w, "3. inflation with stale timestamp: %s (want staleness failure: %v)\n",
 		outcome(err), errors.Is(err, core.ErrStaleEntry))
 
 	// 4. Forged freshness: the advertiser signs the ghost's timestamp
 	// itself, lacking the ghost's private key.
-	forgedTS := sigcrypto.NewTimestamp(advertiser.Keys, ghost.ID(), int64(now.Add(-time.Minute)))
+	forgedTS := sigcrypto.NewTimestamp(sys.Keys(advertiser), ghostID, int64(now.Add(-time.Minute)))
 	forged := &core.Snapshot{
-		Prober:      advertiser.ID(),
+		Prober:      advertiserID,
 		At:          now,
-		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghost.ID(), Freshness: forgedTS}),
+		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghostID, Freshness: forgedTS}),
 		LeafSpacing: localSpacing,
 	}
-	forged.Sign(advertiser.Keys)
+	forged.Sign(sys.Keys(advertiser))
 	err = validator.Validate(forged)
-	fmt.Printf("4. forged freshness signature: %s (want signature failure: %v)\n",
+	fmt.Fprintf(w, "4. forged freshness signature: %s (want signature failure: %v)\n",
 		outcome(err), errors.Is(err, core.ErrBadEntrySignature))
 
 	// 5. Leaf-set suppression: advertise implausibly wide leaf spacing.
-	wide := &core.Snapshot{Prober: advertiser.ID(), At: now, Entries: entries, LeafSpacing: 5 * localSpacing}
-	wide.Sign(advertiser.Keys)
+	wide := &core.Snapshot{Prober: advertiserID, At: now, Entries: entries, LeafSpacing: 5 * localSpacing}
+	wide.Sign(sys.Keys(advertiser))
 	err = validator.Validate(wide)
-	fmt.Printf("5. sparse leaf set: %s (want leaf density failure: %v)\n\n",
+	fmt.Fprintf(w, "5. sparse leaf set: %s (want leaf density failure: %v)\n\n",
 		outcome(err), errors.Is(err, core.ErrLeafSetTooSparse))
 
 	// 6. The analytics behind choosing gamma (Figure 2/3 machinery).
@@ -125,16 +125,17 @@ func main() {
 	for _, c := range []float64{0.2, 0.3} {
 		plain, err := core.OptimalGamma(model, core.DensityScenario{N: 1131, Collusion: c}, 1.001, 2.5, 120)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sup, err := core.OptimalGamma(model, core.DensityScenario{N: 1131, Collusion: c, Suppression: true}, 1.001, 2.5, 120)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("6. c=%.0f%%: optimal gamma %.2f -> FP %.1f%%, FN %.1f%%; under suppression FP %.1f%%, FN %.1f%%\n",
+		fmt.Fprintf(w, "6. c=%.0f%%: optimal gamma %.2f -> FP %.1f%%, FN %.1f%%; under suppression FP %.1f%%, FN %.1f%%\n",
 			100*c, plain.Gamma, 100*plain.FalsePositive, 100*plain.FalseNegative,
 			100*sup.FalsePositive, 100*sup.FalseNegative)
 	}
+	return nil
 }
 
 func outcome(err error) string {

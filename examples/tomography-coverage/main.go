@@ -9,9 +9,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
-	"time"
+	"os"
 
 	"concilium/internal/core"
 	"concilium/internal/experiments"
@@ -22,6 +23,12 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewPCG(31, 41))
 
 	// Part 1: forest coverage vs number of included peer trees.
@@ -30,29 +37,29 @@ func main() {
 	cfg.OverlayFraction = 0.5
 	res, err := experiments.Fig4(experiments.Fig4Config{System: cfg, SampleHosts: 15}, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("forest link coverage as peer trees are incorporated:")
+	fmt.Fprintln(w, "forest link coverage as peer trees are incorporated:")
 	step := len(res.Coverage.X) / 8
 	if step == 0 {
 		step = 1
 	}
 	for i := 0; i < len(res.Coverage.X); i += step {
-		fmt.Printf("  %2.0f peer trees: %5.1f%% of forest links, %.1f vouching trees/link\n",
+		fmt.Fprintf(w, "  %2.0f peer trees: %5.1f%% of forest links, %.1f vouching trees/link\n",
 			res.Coverage.X[i], 100*res.Coverage.Y[i], res.Vouching.Y[i])
 	}
-	fmt.Printf("own tree alone covers %.1f%% (paper reports ~25%% at its scale)\n\n",
+	fmt.Fprintf(w, "own tree alone covers %.1f%% (paper reports ~25%% at its scale)\n\n",
 		100*res.OwnTreeCoverage())
 
 	// Part 2: heavyweight striped probing localizes a lossy link.
 	g, err := topology.Generate(topology.TestConfig(), rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), rng,
 		netsim.WithLossModel(netsim.LossModel{BaseLoss: 0.005, DownLoss: 0.45}))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hosts := g.EndHosts()
 	root := hosts[0]
@@ -62,34 +69,32 @@ func main() {
 	}
 	tree, err := tomography.BuildTree(g, randomID(rng), root, leaves)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	victim := tree.Links()[len(tree.Links())/2]
 	if err := net.SetLinkDown(victim, true); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("heavyweight probing of a %d-leaf tree (%d links); link %d loses 45%%:\n",
+	fmt.Fprintf(w, "heavyweight probing of a %d-leaf tree (%d links); link %d loses 45%%:\n",
 		len(tree.Leaves), len(tree.Links()), victim)
 
 	prober, err := tomography.NewProber(tree, net, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	start := time.Now()
 	est, err := prober.HeavyweightProbe(tomography.DefaultHeavyweightConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  %d stripes, %d probe packets, inferred in %v\n",
-		est.Stripes, est.Packets, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "  %d stripes, %d probe packets\n", est.Stripes, est.Packets)
 	for _, seg := range est.Segments {
 		if seg.Loss < 0.02 {
 			continue
 		}
-		fmt.Printf("  lossy segment %v: inferred loss %.1f%%\n", seg.Links, 100*seg.Loss)
+		fmt.Fprintf(w, "  lossy segment %v: inferred loss %.1f%%\n", seg.Links, 100*seg.Loss)
 	}
 	loss, ok := est.LinkLoss(victim)
-	fmt.Printf("  victim link %d: inferred loss %.1f%% (ok=%v, true 45%%)\n", victim, 100*loss, ok)
+	fmt.Fprintf(w, "  victim link %d: inferred loss %.1f%% (ok=%v, true 45%%)\n", victim, 100*loss, ok)
 
 	// Binary conversion feeds the blame engine.
 	obs := est.Observations(0.25)
@@ -99,7 +104,8 @@ func main() {
 			down++
 		}
 	}
-	fmt.Printf("  binary observations at 25%% threshold: %d of %d links down\n", down, len(obs))
+	fmt.Fprintf(w, "  binary observations at 25%% threshold: %d of %d links down\n", down, len(obs))
+	return nil
 }
 
 func randomID(rng *rand.Rand) (out [16]byte) {

@@ -10,6 +10,7 @@ import (
 	"concilium/internal/dht"
 	"concilium/internal/id"
 	"concilium/internal/netsim"
+	"concilium/internal/overlay"
 	"concilium/internal/topology"
 	"concilium/internal/wire"
 )
@@ -26,7 +27,7 @@ func TestFullPipeline(t *testing.T) {
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(601, 607))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +43,15 @@ func TestFullPipeline(t *testing.T) {
 	}
 
 	// Accusation repository + sanction policy.
-	store, err := dht.New(sys.Ring, dht.DefaultReplicas)
+	ring, err := overlay.NewRing(sys.Overlay.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := dht.NewAccusationRepo(store, sys.Keys(), cfg.Blame.GuiltyThreshold)
+	store, err := dht.New(ring, dht.DefaultReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +75,9 @@ func TestFullPipeline(t *testing.T) {
 	// enough published accusations to be blacklisted.
 	var dropper id.ID
 	var nodeDrops, linkDrops, misattributed int
-	for _, src := range sys.Order {
-		for _, dst := range sys.Order {
+	members := sys.AliveIDs()
+	for _, src := range members {
+		for _, dst := range members {
 			if src == dst {
 				continue
 			}
@@ -84,7 +90,9 @@ func TestFullPipeline(t *testing.T) {
 			}
 			if dropper == (id.ID{}) {
 				dropper = rep.Route[1]
-				sys.Nodes[dropper].Behavior = core.Behavior{DropsMessages: true}
+				if err := sys.SetBehavior(dropper, core.Behavior{DropsMessages: true}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			rep, err = sys.SendMessage(src, dst)
 			if err != nil {
@@ -109,7 +117,7 @@ func TestFullPipeline(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := back.Verify(sys.Keys(), cfg.Blame.GuiltyThreshold); err != nil {
+					if err := back.Verify(sys.KeyDir(), cfg.Blame.GuiltyThreshold); err != nil {
 						t.Fatalf("decoded chain unverifiable: %v", err)
 					}
 				}
@@ -150,8 +158,8 @@ func TestFullPipeline(t *testing.T) {
 
 	// An honest node is untouched.
 	var honest id.ID
-	for _, nid := range sys.Order {
-		if nid != dropper && sys.Nodes[nid].Behavior.Honest() {
+	for i := uint32(0); i < uint32(sys.Size()); i++ {
+		if nid := sys.NodeID(i); nid != dropper && sys.Behavior(i).Honest() {
 			honest = nid
 			break
 		}
@@ -179,7 +187,7 @@ func TestDiagnosisUnderChurnedFailures(t *testing.T) {
 	cfg.Failures.StdDowntime = time.Minute
 	cfg.Failures.MinDowntime = time.Minute
 	rng := rand.New(rand.NewPCG(701, 709))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +199,11 @@ func TestDiagnosisUnderChurnedFailures(t *testing.T) {
 	}
 	sys.Run(6 * time.Minute)
 
+	members := sys.AliveIDs()
 	var networkRight, networkWrong int
 	for round := 0; round < 120; round++ {
-		src := sys.Order[rng.IntN(len(sys.Order))]
-		dst := sys.Order[rng.IntN(len(sys.Order))]
+		src := members[rng.IntN(len(members))]
+		dst := members[rng.IntN(len(members))]
 		if src == dst {
 			continue
 		}
@@ -235,7 +244,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 		cfg.ArchiveRetention = 4 * time.Minute
 		cfg.MaliciousFraction = 0.1
 		rng := rand.New(rand.NewPCG(901, 902))
-		sys, err := core.BuildSystem(cfg, rng)
+		sys, err := core.BuildCompactSystem(cfg, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,10 +255,11 @@ func TestWholeStackDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Run(5 * time.Minute)
+		members := sys.AliveIDs()
 		var log []string
 		for i := 0; i < 40; i++ {
-			src := sys.Order[rng.IntN(len(sys.Order))]
-			dst := sys.Order[rng.IntN(len(sys.Order))]
+			src := members[rng.IntN(len(members))]
+			dst := members[rng.IntN(len(members))]
 			if src == dst {
 				continue
 			}
@@ -290,7 +300,7 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 	cfg.ArchiveRetention = 5 * time.Minute
 	cfg.MaliciousFraction = 0.1
 	rng := rand.New(rand.NewPCG(1001, 1009))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +313,10 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 	sys.Run(10 * time.Minute)
 	archiveAfterWarmup := sys.Archive.Size()
 
+	members := sys.AliveIDs()
 	honest := map[id.ID]bool{}
-	for _, nid := range sys.Order {
-		honest[nid] = sys.Nodes[nid].Behavior.Honest()
+	for i := uint32(0); i < uint32(sys.Size()); i++ {
+		honest[sys.NodeID(i)] = sys.Behavior(i).Honest()
 	}
 	var sent, delivered int
 	var nodeDrops, nodeDropsCorrect int // ground truth: a forwarder dropped
@@ -313,8 +324,8 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 	formally := map[id.ID]bool{}
 	// ~110 virtual minutes of traffic, one message per virtual minute.
 	for minute := 0; minute < 110; minute++ {
-		src := sys.Order[rng.IntN(len(sys.Order))]
-		dst := sys.Order[rng.IntN(len(sys.Order))]
+		src := members[rng.IntN(len(members))]
+		dst := members[rng.IntN(len(members))]
 		if src != dst {
 			rep, err := sys.SendMessage(src, dst)
 			if err != nil {
@@ -336,7 +347,7 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 				}
 			}
 			for _, v := range rep.Verdicts {
-				if v.Guilty && sys.Window.GuiltyCount(v.Judged) >= cfg.Window.M {
+				if v.Guilty && sys.GuiltyCount(v.Judged) >= cfg.Window.M {
 					formally[v.Judged] = true
 				}
 			}

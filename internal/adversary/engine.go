@@ -73,29 +73,27 @@ func Run(cfg Config) (*Report, error) {
 // interior hops. Under uniform traffic this is exactly the expected
 // stewarding load, so the census finds the positions a real adversary
 // would corrupt. Ties break by deterministic system order.
-func topForwarders(sys *core.System, n int) ([]id.ID, error) {
-	states := make(map[id.ID]*overlay.RoutingState, len(sys.Order))
-	for _, nid := range sys.Order {
-		states[nid] = sys.Nodes[nid].Routing
-	}
-	stewards := make(map[id.ID]int, len(sys.Order))
-	var scratch []id.ID
-	for _, src := range sys.Order {
-		for _, dst := range sys.Order {
+func topForwarders(sys *core.CompactSystem, n int) ([]id.ID, error) {
+	members := sys.AliveIDs()
+	stewards := make(map[id.ID]int, len(members))
+	var scratch []uint32
+	for _, src := range members {
+		si, _ := sys.Overlay.IndexOf(src)
+		for _, dst := range members {
 			if src == dst {
 				continue
 			}
-			route, err := overlay.AppendRouteSecure(states, src, dst, 0, scratch[:0])
+			route, err := sys.Overlay.AppendRouteSecure(si, dst, 0, scratch[:0])
 			if err != nil {
 				return nil, err
 			}
 			scratch = route
 			for i := 1; i+1 < len(route); i++ {
-				stewards[route[i]]++
+				stewards[sys.NodeID(route[i])]++
 			}
 		}
 	}
-	ranked := append([]id.ID(nil), sys.Order...)
+	ranked := members
 	sort.SliceStable(ranked, func(i, j int) bool {
 		return stewards[ranked[i]] > stewards[ranked[j]]
 	})
@@ -135,11 +133,17 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	sysCfg := cfg.System
 	sysCfg.Workers = 1 // cells are already the parallel axis
 	sysCfg.Metrics = reg
-	sys, err := core.BuildSystem(sysCfg, seed.Stream(0))
+	sys, err := core.BuildCompactSystem(sysCfg, seed.Stream(0))
 	if err != nil {
 		return cell, snap, err
 	}
-	store, err := dht.New(sys.Ring, cfg.Replicas)
+	// The store gets a snapshot ring: the overlay's own is mutated in
+	// place by joins.
+	ring, err := overlay.NewRing(sys.Overlay.IDs())
+	if err != nil {
+		return cell, snap, err
+	}
+	store, err := dht.New(ring, cfg.Replicas)
 	if err != nil {
 		return cell, snap, err
 	}
@@ -154,11 +158,11 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 		Traffic:    seed.Stream(1),
 		Attack:     seed.Stream(2),
 		Distrusted: make(map[id.ID]bool),
-		keyDir:     make(map[id.ID]ed25519.PublicKey, len(sys.Order)),
+		keyDir:     make(map[id.ID]ed25519.PublicKey, sys.Size()),
 		cell:       &cell,
 	}
-	for _, nid := range sys.Order {
-		env.keyDir[nid] = sys.Nodes[nid].Keys.Public
+	for i := 0; i < sys.Size(); i++ {
+		env.keyDir[sys.NodeID(uint32(i))] = sys.Keys(uint32(i)).Public
 	}
 	keys := func(x id.ID) (ed25519.PublicKey, bool) {
 		k, ok := env.keyDir[x]
@@ -192,7 +196,7 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	// adversary corrupts the hosts traffic actually flows through — and
 	// that is the set the defenses must convict. Behaviors are installed
 	// by the strategy, never the engine.
-	nAtt := attackerCount(frac, len(sys.Order))
+	nAtt := attackerCount(frac, sys.Size())
 	env.Attackers, err = topForwarders(sys, nAtt)
 	if err != nil {
 		return cell, snap, err
@@ -226,7 +230,7 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	if err != nil {
 		return cell, snap, err
 	}
-	cell.Nodes = len(sys.Order)
+	cell.Nodes = sys.Size()
 	cell.Suspected = env.Suspector.SuspectedCount()
 	s := reg.Snapshot()
 	cell.Rejections = CellRejections{
@@ -243,7 +247,7 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	// co-signers and detector-flagged hosts are voided too.
 	trusted := func(v id.ID) bool {
 		return !env.Suspector.Suspected(v) &&
-			sys.Window.GuiltyCount(v) == 0 &&
+			sys.GuiltyCount(v) == 0 &&
 			!env.Distrusted[v]
 	}
 	cell.RepAttackerRate = poorPeerRate(env.Board, env.Attackers, trusted, cfg.SanctionQuorum)
@@ -257,9 +261,10 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 // hardened repository.
 func (e *Env) sendTraffic(n int) error {
 	sys := e.Sys
+	members := sys.AliveIDs()
 	for i := 0; i < n; i++ {
-		src := sys.Order[e.Traffic.IntN(len(sys.Order))]
-		dst := sys.Order[e.Traffic.IntN(len(sys.Order))]
+		src := members[e.Traffic.IntN(len(members))]
+		dst := members[e.Traffic.IntN(len(members))]
 		rep, err := sys.SendMessage(src, dst)
 		if err != nil {
 			return fmt.Errorf("adversary: %s message %d: %w", e.cell.Strategy, e.cell.Sent, err)
@@ -288,7 +293,7 @@ func (e *Env) tally(rep *core.DeliveryReport) {
 			continue
 		}
 		accuser := rep.Route[vi]
-		if an := e.Sys.Nodes[accuser]; an != nil && an.Behavior.Honest() {
+		if ai, ok := e.Sys.Overlay.IndexOf(accuser); ok && e.Sys.Behavior(ai).Honest() {
 			e.castVote(accuser, v.Judged)
 		}
 	}

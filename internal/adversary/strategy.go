@@ -11,6 +11,7 @@ import (
 	"concilium/internal/id"
 	"concilium/internal/netsim"
 	"concilium/internal/reputation"
+	"concilium/internal/sigcrypto"
 	"concilium/internal/topology"
 )
 
@@ -50,7 +51,7 @@ func Strategies() []Strategy {
 // clique-discounting defenses, and the cell's attack substream.
 type Env struct {
 	Cfg       *Config
-	Sys       *core.System
+	Sys       *core.CompactSystem
 	Store     *dht.Store
 	Repo      *dht.AccusationRepo
 	Suspector *core.CliqueSuspector
@@ -92,7 +93,7 @@ func (e *Env) attackerSet() map[id.ID]bool {
 func (e *Env) refreshHonest() {
 	e.attSet = e.attackerSet()
 	e.Honest = e.Honest[:0]
-	for _, nid := range e.Sys.Order {
+	for _, nid := range e.Sys.AliveIDs() {
 		if !e.attSet[nid] {
 			e.Honest = append(e.Honest, nid)
 		}
@@ -155,9 +156,9 @@ func (e *Env) forgedChain(signers []id.ID, victim id.ID, msgID uint64, at netsim
 	links := make([]core.Accusation, 0, len(path)-1)
 	for i := 0; i+1 < len(path); i++ {
 		accuser, accused := path[i], path[i+1]
-		accusedNode := e.Sys.Nodes[accused]
-		accuserNode := e.Sys.Nodes[accuser]
-		if accusedNode == nil || accuserNode == nil {
+		accusedKeys, okAccused := e.keysOf(accused)
+		accuserKeys, okAccuser := e.keysOf(accuser)
+		if !okAccused || !okAccuser {
 			return nil, fmt.Errorf("adversary: forged chain names departed host")
 		}
 		res := core.BlameResult{
@@ -169,8 +170,8 @@ func (e *Env) forgedChain(signers []id.ID, victim id.ID, msgID uint64, at netsim
 				{Link: topology.LinkID(1), Probes: 3, Confidence: 0},
 			},
 		}
-		commit := core.NewCommitment(accusedNode.Keys, accuser, accused, victim, msgID, at)
-		acc, err := core.NewAccusation(accuserNode.Keys, accuser, res, msgID,
+		commit := core.NewCommitment(accusedKeys, accuser, accused, victim, msgID, at)
+		acc, err := core.NewAccusation(accuserKeys, accuser, res, msgID,
 			[]topology.LinkID{topology.LinkID(1)}, commit)
 		if err != nil {
 			return nil, err
@@ -178,6 +179,15 @@ func (e *Env) forgedChain(signers []id.ID, victim id.ID, msgID uint64, at netsim
 		links = append(links, acc)
 	}
 	return core.NewRevisionChain(links)
+}
+
+// keysOf returns a current member's key pair.
+func (e *Env) keysOf(nid id.ID) (sigcrypto.KeyPair, bool) {
+	i, ok := e.Sys.Overlay.IndexOf(nid)
+	if !ok {
+		return sigcrypto.KeyPair{}, false
+	}
+	return e.Sys.Keys(i), true
 }
 
 // pickVictim draws an honest target from the attack substream.
@@ -188,12 +198,12 @@ func (e *Env) pickVictim() id.ID {
 // castVote records a no-confidence vote on the board, tallying (not
 // failing on) verification errors.
 func (e *Env) castVote(voter, subject id.ID) {
-	vn := e.Sys.Nodes[voter]
-	if vn == nil || voter == subject {
+	keys, ok := e.keysOf(voter)
+	if !ok || voter == subject {
 		return
 	}
-	v := reputation.NewVote(vn.Keys, voter, subject, e.Sys.Sim.Now())
-	if err := e.Board.Record(v, vn.Keys.Public); err != nil {
+	v := reputation.NewVote(keys, voter, subject, e.Sys.Sim.Now())
+	if err := e.Board.Record(v, keys.Public); err != nil {
 		e.cell.VoteErrors++
 	}
 }
@@ -228,7 +238,7 @@ func (e *Env) convictionRate(hosts []id.ID, m int) float64 {
 	}
 	var n int
 	for _, h := range hosts {
-		if e.Sys.Window.GuiltyCount(h) >= m {
+		if e.Sys.GuiltyCount(h) >= m {
 			n++
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"concilium/internal/dht"
 	"concilium/internal/id"
 	"concilium/internal/metrics"
+	"concilium/internal/overlay"
 	"concilium/internal/parexec"
 )
 
@@ -18,7 +19,7 @@ import (
 // accumulating report.
 type Campaign struct {
 	cfg   Config
-	sys   *core.System
+	sys   *core.CompactSystem
 	store *dht.Store
 	repo  *dht.AccusationRepo
 
@@ -74,28 +75,36 @@ func newCampaign(cfg Config) (*Campaign, error) {
 	root := RootSeed(cfg.Seed)
 	reg := metrics.NewRegistry()
 	cfg.System.Metrics = reg
-	sys, err := core.BuildSystem(cfg.System, root.Stream(0))
+	sys, err := core.BuildCompactSystem(cfg.System, root.Stream(0))
 	if err != nil {
 		return nil, err
 	}
-	store, err := dht.New(sys.Ring, cfg.Replicas)
+	// The DHT keeps its own ring: the overlay's is mutated in place by
+	// churn, so the store is handed a snapshot and rebalanced onto a
+	// fresh one after every membership change.
+	ring, err := overlay.NewRing(sys.Overlay.IDs())
+	if err != nil {
+		return nil, err
+	}
+	store, err := dht.New(ring, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
 	store.SetMetrics(reg)
 
 	// Adversary knob: mark the tail of the deterministic order as
-	// probabilistic droppers. BuildSystem marks MaliciousFraction at the
+	// probabilistic droppers. The build marks MaliciousFraction at the
 	// head, so the two sets are disjoint; SetBehavior draws no
 	// randomness, so a zero fraction leaves every substream — and the
 	// report — exactly as before the knob existed.
+	members := sys.AliveIDs()
 	marked := 0
 	if cfg.AdversaryFraction > 0 {
-		marked = int(cfg.AdversaryFraction*float64(len(sys.Order)) + 0.5)
+		marked = int(cfg.AdversaryFraction*float64(len(members)) + 0.5)
 		if marked < 1 {
 			marked = 1
 		}
-		for _, nid := range sys.Order[len(sys.Order)-marked:] {
+		for _, nid := range members[len(members)-marked:] {
 			if err := sys.SetBehavior(nid, core.Behavior{DropProb: cfg.AdversaryDropProb}); err != nil {
 				return nil, err
 			}
@@ -107,14 +116,14 @@ func newCampaign(cfg Config) (*Campaign, error) {
 		sys:       sys,
 		store:     store,
 		reg:       reg,
-		keyDir:    make(map[id.ID]ed25519.PublicKey, len(sys.Order)),
+		keyDir:    make(map[id.ID]ed25519.PublicKey, len(members)),
 		sched:     root.Stream(1),
 		traffic:   root.Stream(2),
 		published: make(map[id.ID]int),
 		departed:  make(map[id.ID]bool),
 	}
-	for _, nid := range sys.Order {
-		c.keyDir[nid] = sys.Nodes[nid].Keys.Public
+	for i := 0; i < sys.Size(); i++ {
+		c.keyDir[sys.NodeID(uint32(i))] = sys.Keys(uint32(i)).Public
 	}
 	keys := func(x id.ID) (ed25519.PublicKey, bool) {
 		k, ok := c.keyDir[x]
@@ -130,7 +139,7 @@ func newCampaign(cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 	c.rep.Seed = cfg.Seed
-	c.rep.Nodes = len(sys.Order)
+	c.rep.Nodes = sys.Size()
 	c.rep.AdversaryMarked = marked
 	return c, nil
 }
@@ -206,13 +215,14 @@ func (c *Campaign) phaseProbeLoss() error {
 // nodes that stay in the overlay but stop reporting.
 func (c *Campaign) phaseSilentLeaves() error {
 	c.rep.FaultKinds = append(c.rep.FaultKinds, "leaf-silence")
+	members := c.sys.AliveIDs()
 	n := c.cfg.SilentLeaves
-	if n > len(c.sys.Order) {
-		n = len(c.sys.Order)
+	if n > len(members) {
+		n = len(members)
 	}
 	silenced := make([]id.ID, 0, n)
 	for len(silenced) < n {
-		cand := c.sys.Order[c.sched.IntN(len(c.sys.Order))]
+		cand := members[c.sched.IntN(len(members))]
 		dup := false
 		for _, x := range silenced {
 			dup = dup || x == cand
@@ -242,9 +252,10 @@ func (c *Campaign) phaseSilentLeaves() error {
 // the degraded store, then repairs them.
 func (c *Campaign) phaseReplicaOutage() error {
 	c.rep.FaultKinds = append(c.rep.FaultKinds, "dht-outage")
+	members := c.sys.AliveIDs()
 	faulty := make([]id.ID, 0, c.cfg.ReplicaOutage)
-	for len(faulty) < c.cfg.ReplicaOutage && len(faulty) < len(c.sys.Order) {
-		cand := c.sys.Order[c.sched.IntN(len(c.sys.Order))]
+	for len(faulty) < c.cfg.ReplicaOutage && len(faulty) < len(members) {
+		cand := members[c.sched.IntN(len(members))]
 		dup := false
 		for _, x := range faulty {
 			dup = dup || x == cand
@@ -294,10 +305,11 @@ func (c *Campaign) phaseChurn() error {
 	c.rep.FaultKinds = append(c.rep.FaultKinds, "churn")
 	s := c.sys
 	for r := 0; r < c.cfg.ChurnRounds; r++ {
-		if len(s.Order) > 6 {
-			victim := s.Order[c.sched.IntN(len(s.Order))]
+		if s.Size() > 6 {
+			members := s.AliveIDs()
+			victim := members[c.sched.IntN(len(members))]
 			err := s.Sim.ScheduleAfter(150*time.Millisecond, func() {
-				if len(s.Order) <= 5 {
+				if s.Size() <= 5 {
 					return
 				}
 				if err := s.FailNode(victim); err != nil {
@@ -306,9 +318,7 @@ func (c *Campaign) phaseChurn() error {
 				c.departed[victim] = true
 				// The crashed machine takes its replica data with it.
 				_ = c.store.SetFaulty(victim, true)
-				if err := c.store.Rebalance(s.Ring); err != nil {
-					c.rep.RebalanceErrors++
-				}
+				c.rebalance()
 			})
 			if err != nil {
 				return err
@@ -324,10 +334,9 @@ func (c *Campaign) phaseChurn() error {
 			if err != nil {
 				return err
 			}
-			c.keyDir[nid] = s.Nodes[nid].Keys.Public
-			if err := c.store.Rebalance(s.Ring); err != nil {
-				c.rep.RebalanceErrors++
-			}
+			i, _ := s.Overlay.IndexOf(nid)
+			c.keyDir[nid] = s.Keys(i).Public
+			c.rebalance()
 			c.checkRouting()
 		}
 		s.Run(time.Minute)
@@ -335,12 +344,24 @@ func (c *Campaign) phaseChurn() error {
 	return nil
 }
 
+// rebalance re-homes the accusation store onto a snapshot of the
+// current membership.
+func (c *Campaign) rebalance() {
+	ring, err := overlay.NewRing(c.sys.Overlay.IDs())
+	if err == nil {
+		err = c.store.Rebalance(ring)
+	}
+	if err != nil {
+		c.rep.RebalanceErrors++
+	}
+}
+
 // sendTraffic routes n stewarded messages between pairs drawn from the
 // traffic substream, tallying outcomes and publishing any accusation
 // chains into the DHT.
 func (c *Campaign) sendTraffic(phase string, n int) error {
 	for i := 0; i < n; i++ {
-		order := c.sys.Order
+		order := c.sys.AliveIDs()
 		src := order[c.traffic.IntN(len(order))]
 		dst := order[c.traffic.IntN(len(order))]
 		rep, err := c.sys.SendMessage(src, dst)
@@ -384,8 +405,8 @@ func (c *Campaign) tally(rep *core.DeliveryReport) {
 	if c.stale {
 		c.rep.StaleConvictions++
 	}
-	if node, live := c.sys.Nodes[rep.Culprit]; live {
-		if node.Behavior.Honest() {
+	if i, live := c.sys.Overlay.IndexOf(rep.Culprit); live {
+		if c.sys.Behavior(i).Honest() {
 			c.rep.HonestConvictions++
 		}
 	} else {
@@ -408,24 +429,20 @@ func (c *Campaign) tally(rep *core.DeliveryReport) {
 }
 
 // checkRouting verifies every survivor's overlay state after a churn
-// event: peers resolve to live nodes, jump tables are structurally
-// valid, and the §3.1 density test holds between neighbors.
+// event: every table slot names a live member in its prefix slot, and
+// the §3.1 density test holds between each node and its routing peers.
 func (c *Campaign) checkRouting() {
 	s := c.sys
-	for _, nid := range s.Order {
-		n := s.Nodes[nid]
-		if err := n.Routing.Secure.Validate(); err != nil {
+	var peers []uint32
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		if err := s.Overlay.Validate(i); err != nil {
 			c.rep.RoutingViolations++
 			continue
 		}
-		local := float64(n.Routing.Secure.Occupancy())
-		for _, p := range n.Routing.RoutingPeers() {
-			pn, ok := s.Nodes[p]
-			if !ok {
-				c.rep.RoutingViolations++
-				continue
-			}
-			if !c.dtest.Check(local, float64(pn.Routing.Secure.Occupancy())) {
+		local := float64(s.Overlay.SecureOccupancy(i))
+		peers = s.Overlay.AppendRoutingPeers(i, peers[:0])
+		for _, p := range peers {
+			if !c.dtest.Check(local, float64(s.Overlay.SecureOccupancy(p))) {
 				c.rep.DensityViolations++
 			}
 		}
@@ -440,7 +457,7 @@ func (c *Campaign) finish() {
 	r.InjectorTarget = c.sys.Injector.Target()
 	r.InjectorDeficit = c.sys.Injector.Deficit()
 	r.DownLinks = c.sys.Net.DownCount()
-	r.FinalNodes = len(c.sys.Order)
+	r.FinalNodes = c.sys.Size()
 	// Canonical only: wall-clock series would break the report's
 	// seed-determinism contract.
 	r.Metrics = c.reg.Snapshot().Canonical()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"concilium/internal/core"
+	"concilium/internal/id"
 	"concilium/internal/stats"
 	"concilium/internal/tomography"
 )
@@ -40,16 +41,16 @@ type Fig4Result struct {
 
 // Fig4 builds the deployment and computes coverage curves.
 func Fig4(cfg Fig4Config, rng stats.Rand) (*Fig4Result, error) {
-	sys, err := core.BuildSystem(cfg.System, rng)
+	cs, err := core.BuildCompactSystem(cfg.System, rng)
 	if err != nil {
 		return nil, err
 	}
-	return Fig4FromSystem(sys, cfg.SampleHosts, cfg.MaxTrees, rng)
+	return Fig4FromSystem(cs, cfg.SampleHosts, cfg.MaxTrees, rng)
 }
 
 // Fig4FromSystem runs the measurement over an existing deployment.
-func Fig4FromSystem(sys *core.System, sampleHosts, maxTrees int, rng stats.Rand) (*Fig4Result, error) {
-	hosts := sys.Order
+func Fig4FromSystem(cs *core.CompactSystem, sampleHosts, maxTrees int, rng stats.Rand) (*Fig4Result, error) {
+	hosts := cs.AliveIDs()
 	if sampleHosts > 0 && sampleHosts < len(hosts) {
 		// Deterministic sample without replacement.
 		perm := make([]int, len(hosts))
@@ -66,17 +67,31 @@ func Fig4FromSystem(sys *core.System, sampleHosts, maxTrees int, rng stats.Rand)
 		}
 		hosts = picked
 	}
+	treeOf := func(nid id.ID) (*tomography.Tree, error) {
+		i, ok := cs.Overlay.IndexOf(nid)
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s is not a member", nid.Short())
+		}
+		return cs.CachedTree(i)
+	}
 
 	// Build each sampled host's forest.
 	forests := make([]*tomography.Forest, 0, len(hosts))
 	deepest := 0
 	for _, h := range hosts {
-		node := sys.Nodes[h]
-		var peerTrees []*tomography.Tree
-		for _, leaf := range node.Tree.Leaves {
-			peerTrees = append(peerTrees, sys.Nodes[leaf.Node].Tree)
+		own, err := treeOf(h)
+		if err != nil {
+			return nil, err
 		}
-		f, err := tomography.BuildForest(node.Tree, peerTrees)
+		var peerTrees []*tomography.Tree
+		for _, leaf := range own.Leaves {
+			t, err := treeOf(leaf.Node)
+			if err != nil {
+				return nil, err
+			}
+			peerTrees = append(peerTrees, t)
+		}
+		f, err := tomography.BuildForest(own, peerTrees)
 		if err != nil {
 			return nil, err
 		}

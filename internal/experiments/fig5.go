@@ -8,6 +8,7 @@ import (
 	"concilium/internal/id"
 	"concilium/internal/parexec"
 	"concilium/internal/stats"
+	"concilium/internal/tomography"
 	"concilium/internal/topology"
 )
 
@@ -109,7 +110,7 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys, err := core.BuildSystem(cfg.System, rng)
+	sys, err := core.BuildCompactSystem(cfg.System, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -136,6 +137,21 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 	var guiltyFaulty, guiltyInnocent int
 	collusion := cfg.System.MaliciousFraction > 0
 
+	// Membership is fixed for the whole run; trees come from the
+	// system's per-node cache.
+	members := sys.AliveIDs()
+	leavesOf := func(nid id.ID) ([]tomography.Leaf, error) {
+		i, ok := sys.Overlay.IndexOf(nid)
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s is not a member", nid.Short())
+		}
+		tree, err := sys.CachedTree(i)
+		if err != nil {
+			return nil, err
+		}
+		return tree.Leaves, nil
+	}
+
 	// Schedule evaluation instants uniformly across the sampling span.
 	span := cfg.Duration - cfg.Warmup
 	var evalErr error
@@ -155,13 +171,21 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 			}
 			var triples []triple
 			for i := 0; i < cfg.TriplesPerEvent; i++ {
-				a := sys.Order[rng.IntN(len(sys.Order))]
-				aPeers := sys.Nodes[a].Tree.Leaves
+				a := members[rng.IntN(len(members))]
+				aPeers, err := leavesOf(a)
+				if err != nil {
+					evalErr = err
+					return
+				}
 				if len(aPeers) == 0 {
 					continue
 				}
 				b := aPeers[rng.IntN(len(aPeers))].Node
-				bPeers := sys.Nodes[b].Tree.Leaves
+				bPeers, err := leavesOf(b)
+				if err != nil {
+					evalErr = err
+					return
+				}
 				if len(bPeers) == 0 {
 					continue
 				}
@@ -174,7 +198,8 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 					continue
 				}
 				pathBad := !sys.Net.PathUp(path)
-				bMalicious := sys.Nodes[b].Behavior.DropsMessages
+				bi, _ := sys.Overlay.IndexOf(b)
+				bMalicious := sys.Behavior(bi).DropsMessages
 				// Classify the triple per the paper's methodology: a
 				// genuinely bad B→C makes B non-faulty for this message;
 				// a healthy path means B must have dropped it. Under
