@@ -24,9 +24,10 @@ import (
 // speedup of the configured worker count over a serial reference build.
 // Its deterministic checks include a canonical-snapshot hash, so the
 // benchdiff -canonical gate proves builds are byte-identical across
-// worker counts. The compact core is what moves the frontier: the
-// legacy per-node representation topped out around N=20k in a CI-sized
-// memory budget, while the struct-of-arrays build reaches N=1M.
+// worker counts. The compact core is what moves the frontier: a
+// pointer-per-node representation topped out around N=20k in a
+// CI-sized memory budget, while the struct-of-arrays build reaches
+// N=1M.
 const scaleFig = 10
 
 // parseScaleNs parses the -scale-n flag: a comma-separated list of
@@ -83,9 +84,7 @@ func scaleSystemConfig(n, workers int) core.SystemConfig {
 // deterministic checks and timing envelope. The canonical hash is the
 // compact core's index-based snapshot (trees excluded — they are
 // derived on demand), folded to 53 bits so it survives the float64
-// check channel exactly; it was re-pinned when the figure moved off
-// BuildSystem, with TestCompactSystemMatchesLegacyBuild carrying the
-// equivalence lineage across the re-pin.
+// check channel exactly.
 func measureScaleBuild(n, workers int, rng *rand.Rand) (map[string]float64, benchreport.Timing, error) {
 	cfg := scaleSystemConfig(n, workers)
 	var before, after runtime.MemStats

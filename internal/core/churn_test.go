@@ -9,132 +9,144 @@ import (
 	"concilium/internal/topology"
 )
 
-func TestFailNodeRepairsSurvivors(t *testing.T) {
-	t.Parallel()
-	s := buildTestSystem(t, nil)
-	victim := s.Order[len(s.Order)/2]
-	before := len(s.Order)
-
-	if err := s.FailNode(victim); err != nil {
+// requireSecureMatchesRebuild checks every node's secure table against
+// a from-scratch fill over the current membership.
+func requireSecureMatchesRebuild(t *testing.T, cs *CompactSystem) {
+	t.Helper()
+	ring, err := overlay.NewRing(cs.Overlay.IDs())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Order) != before-1 || s.Ring.Contains(victim) {
-		t.Fatal("victim not removed")
-	}
-	// Every survivor's state is repaired: no reference to the departed
-	// node anywhere, secure tables still satisfy the constraint, and
-	// trees cover the current peer sets.
-	for _, nid := range s.Order {
-		node := s.Nodes[nid]
-		for _, p := range node.Routing.RoutingPeers() {
-			if p == victim {
-				t.Fatalf("node %s still peers with departed %s", nid.Short(), victim.Short())
-			}
-		}
-		if err := node.Routing.Secure.Validate(); err != nil {
-			t.Fatalf("node %s secure table corrupt: %v", nid.Short(), err)
-		}
-		if len(node.Tree.Leaves) != len(node.Routing.RoutingPeers()) {
-			t.Fatalf("node %s tree out of sync with peers", nid.Short())
-		}
-		// The repaired secure table matches a from-scratch fill.
-		rebuilt, err := overlay.BuildSecureTable(nid, s.Ring)
+	for i := uint32(0); i < uint32(cs.Size()); i++ {
+		nid := cs.NodeID(i)
+		rebuilt, err := overlay.BuildSecureTable(nid, ring)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for row := 0; row < 32; row++ {
-			for col := byte(0); col < 16; col++ {
-				got, gok := node.Routing.Secure.Slot(row, col)
+		for row := 0; row < id.Digits; row++ {
+			for col := byte(0); col < id.Base; col++ {
+				got, gok := cs.Overlay.SecureSlot(i, row, col)
 				want, wok := rebuilt.Slot(row, col)
-				if gok != wok || (gok && got != want) {
+				if gok != wok || (gok && cs.NodeID(got) != want) {
 					t.Fatalf("node %s slot (%d,%d) diverged from rebuild", nid.Short(), row, col)
 				}
 			}
 		}
 	}
+}
+
+func TestFailNodeRepairsSurvivors(t *testing.T) {
+	t.Parallel()
+	cs := buildTestSystem(t, nil)
+	order := cs.AliveIDs()
+	victim := order[len(order)/2]
+	before := cs.Size()
+
+	if err := cs.FailNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cs.Overlay.IndexOf(victim); cs.Size() != before-1 || ok {
+		t.Fatal("victim not removed")
+	}
+	// Every survivor's state is repaired: no reference to the departed
+	// node anywhere, tables still satisfy the prefix constraint, trees
+	// cover the current peer sets, and the secure tables match a
+	// from-scratch fill.
+	var peers []uint32
+	for i := uint32(0); i < uint32(cs.Size()); i++ {
+		nid := cs.NodeID(i)
+		peers = cs.Overlay.AppendRoutingPeers(i, peers[:0])
+		for _, p := range peers {
+			if cs.NodeID(p) == victim {
+				t.Fatalf("node %s still peers with departed %s", nid.Short(), victim.Short())
+			}
+		}
+		if err := cs.Overlay.Validate(i); err != nil {
+			t.Fatalf("node %s routing state corrupt: %v", nid.Short(), err)
+		}
+		tree, err := cs.CachedTree(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tree.Leaves) != len(peers) {
+			t.Fatalf("node %s tree out of sync with peers", nid.Short())
+		}
+	}
+	requireSecureMatchesRebuild(t, cs)
 	// Routing still works end to end.
-	rep, err := s.SendMessage(s.Order[0], s.Order[len(s.Order)-1])
+	order = cs.AliveIDs()
+	rep, err := cs.SendMessage(order[0], order[len(order)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Delivered {
 		t.Error("delivery failed after churn repair")
 	}
-	if err := s.FailNode(victim); err == nil {
+	if err := cs.FailNode(victim); err == nil {
 		t.Error("double failure accepted")
 	}
-	if err := s.FailNode(id.Zero); err == nil {
+	if err := cs.FailNode(id.Zero); err == nil {
 		t.Error("unknown node accepted")
 	}
 }
 
 func TestJoinNodeIntegrates(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
-	if err := s.StartProbing(); err != nil {
+	cs := buildTestSystem(t, nil)
+	if err := cs.StartProbing(); err != nil {
 		t.Fatal(err)
 	}
 	// Attach the newcomer at a free end-host router.
-	used := map[int32]bool{}
-	for _, nid := range s.Order {
-		used[int32(s.Nodes[nid].Router)] = true
+	used := map[topology.RouterID]bool{}
+	for i := uint32(0); i < uint32(cs.Size()); i++ {
+		used[cs.Router(i)] = true
 	}
-	var router int32 = -1
-	for _, h := range s.Topo.EndHosts() {
-		if !used[int32(h)] {
-			router = int32(h)
+	router := topology.RouterID(-1)
+	for _, h := range cs.Topo.EndHosts() {
+		if !used[h] {
+			router = h
 			break
 		}
 	}
 	if router < 0 {
 		t.Skip("no free end host")
 	}
-	before := len(s.Order)
-	newID, err := s.JoinNode(topology.RouterID(router))
+	before := cs.Size()
+	newID, err := cs.JoinNode(router)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Order) != before+1 || !s.Ring.Contains(newID) {
+	ni, ok := cs.Overlay.IndexOf(newID)
+	if cs.Size() != before+1 || !ok {
 		t.Fatal("join not registered")
 	}
-	node := s.Nodes[newID]
-	if node.Tree == nil || len(node.Tree.Leaves) == 0 {
+	tree, err := cs.CachedTree(ni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.Leaves) == 0 {
 		t.Fatal("newcomer has no tree")
 	}
-	if err := node.Routing.Secure.Validate(); err != nil {
-		t.Fatalf("newcomer secure table invalid: %v", err)
+	if err := cs.Overlay.Validate(ni); err != nil {
+		t.Fatalf("newcomer routing state invalid: %v", err)
 	}
 	// Survivors folded the newcomer in exactly as a rebuild would.
-	for _, nid := range s.Order {
-		rebuilt, err := overlay.BuildSecureTable(nid, s.Ring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := s.Nodes[nid].Routing.Secure
-		for row := 0; row < 32; row++ {
-			for col := byte(0); col < 16; col++ {
-				g, gok := got.Slot(row, col)
-				w, wok := rebuilt.Slot(row, col)
-				if gok != wok || (gok && g != w) {
-					t.Fatalf("node %s slot (%d,%d) diverged after join", nid.Short(), row, col)
-				}
-			}
-		}
-	}
+	requireSecureMatchesRebuild(t, cs)
 	// Traffic reaches the newcomer, and its probes land in the archive.
-	rep, err := s.SendMessage(s.Order[0], newID)
+	rep, err := cs.SendMessage(cs.AliveIDs()[0], newID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Delivered {
 		t.Error("cannot deliver to newcomer")
 	}
-	s.Run(5 * time.Minute)
+	cs.Run(5 * time.Minute)
 	recs := 0
-	for _, l := range node.Tree.Links() {
-		recs += len(s.Archive.InWindow(l, 0, s.Sim.Now(), map[id.ID]bool{}))
-		if recs > 0 {
-			break
+	for _, l := range tree.Links() {
+		for _, r := range cs.Archive.Window(l, 0, cs.Sim.Now()) {
+			if r.Prober == newID {
+				recs++
+			}
 		}
 	}
 	if recs == 0 {
@@ -144,15 +156,15 @@ func TestJoinNodeIntegrates(t *testing.T) {
 
 func TestSendBulkCleanAndLossy(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
-	if err := s.StartProbing(); err != nil {
+	cs := buildTestSystem(t, nil)
+	if err := cs.StartProbing(); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(3 * time.Minute)
-	src, dst, route := findMultiHopPair(t, s, 2)
+	cs.Run(3 * time.Minute)
+	src, dst, route := findMultiHopPair(t, cs, 2)
 
 	// Clean batch: everything delivered and cleared; no verdicts.
-	rep, err := s.SendBulk(src, dst, 20)
+	rep, err := cs.SendBulk(src, dst, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +177,8 @@ func TestSendBulkCleanAndLossy(t *testing.T) {
 
 	// Dropper on the first hop: everything missing, verdicts issued.
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
-	rep, err = s.SendBulk(src, dst, 10)
+	setDropper(t, cs, dropper)
+	rep, err = cs.SendBulk(src, dst, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +194,13 @@ func TestSendBulkCleanAndLossy(t *testing.T) {
 		}
 	}
 	// Window accumulated them.
-	if got := s.Window.GuiltyCount(dropper); got != 10 {
+	if got := cs.GuiltyCount(dropper); got != 10 {
 		t.Errorf("window guilty count = %d", got)
 	}
-	if _, err := s.SendBulk(src, dst, 0); err == nil {
+	if _, err := cs.SendBulk(src, dst, 0); err == nil {
 		t.Error("zero batch accepted")
 	}
-	if _, err := s.SendBulk(id.Zero, dst, 1); err == nil {
+	if _, err := cs.SendBulk(id.Zero, dst, 1); err == nil {
 		t.Error("unknown source accepted")
 	}
 }

@@ -8,15 +8,15 @@ import (
 	"concilium/internal/overlay"
 )
 
-// Compact canonical serialization: a byte-exact snapshot of everything
-// BuildCompactSystem decides, in ring order. The format is index-based
-// — peers appear as uint32 ring positions, not 16-byte identifiers —
-// and tomography trees are excluded because the compact core derives
-// them on demand from the immutable graph and the (already serialized)
-// routing peers. That makes this a NEW canonical stream, not the legacy
-// one: the golden hash is pinned fresh in compact_test.go, and the
-// old-vs-new cross-check test ties the two representations together
-// field by field at small N instead.
+// Canonical serialization: a byte-exact snapshot of everything
+// BuildCompactSystem decides, in ring order. Two builds from the same
+// SystemConfig and seed must produce identical bytes no matter how many
+// workers constructed them; the worker-invariance tests, the Scale
+// figure's canonical check and the golden hash in compact_test.go all
+// consume it. The format is index-based — peers appear as uint32 ring
+// positions, not 16-byte identifiers — and tomography trees are
+// excluded because the system derives them on demand from the
+// immutable graph and the (already serialized) routing peers.
 
 // AppendCanonical appends the compact system's canonical snapshot to
 // buf and returns the extended slice.

@@ -7,136 +7,7 @@ import (
 
 	"concilium/internal/id"
 	"concilium/internal/overlay"
-	"concilium/internal/topology"
 )
-
-func buildTestCompactSystem(t *testing.T, mutate func(*SystemConfig)) *CompactSystem {
-	t.Helper()
-	cfg := DefaultSystemConfig()
-	cfg.Topology = topology.TestConfig()
-	cfg.OverlayFraction = 0.5
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	cs, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(201, 203)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs
-}
-
-// TestCompactSystemMatchesLegacyBuild is the one-time bridge between
-// the two representations: at equal config and seed, the compact build
-// must decide exactly what the legacy build decides — identifiers,
-// routers, keys, certificates, behavior marks, every routing slot, the
-// routing-peer order, and (via on-demand TreeOf) the tomography trees.
-// The compact canonical stream is a new format, so this field-by-field
-// cross-check is what carries the determinism lineage across the
-// re-pin of the golden hash.
-func TestCompactSystemMatchesLegacyBuild(t *testing.T) {
-	t.Parallel()
-	cfg := DefaultSystemConfig()
-	cfg.Topology = topology.TestConfig()
-	cfg.OverlayFraction = 0.5
-	cfg.MaliciousFraction = 0.25
-
-	s, err := BuildSystem(cfg, rand.New(rand.NewPCG(201, 203)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(201, 203)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Size() != len(s.Order) {
-		t.Fatalf("compact size %d, legacy %d", cs.Size(), len(s.Order))
-	}
-
-	var scratch topology.BFSScratch
-	for p, nid := range s.Order {
-		node := s.Nodes[nid]
-		i, ok := cs.Overlay.IndexOf(nid)
-		if !ok {
-			t.Fatalf("legacy node %s missing from compact ring", nid.Short())
-		}
-		if int(cs.slabOf[i]) != p {
-			t.Fatalf("node %s: slab %d, legacy build position %d", nid.Short(), cs.slabOf[i], p)
-		}
-		if cs.Router(i) != node.Router {
-			t.Fatalf("node %s: router %d, legacy %d", nid.Short(), cs.Router(i), node.Router)
-		}
-		keys := cs.Keys(i)
-		if !bytes.Equal(keys.Public, node.Keys.Public) || !bytes.Equal(keys.Private, node.Keys.Private) {
-			t.Fatalf("node %s: key pair mismatch", nid.Short())
-		}
-		cert := cs.Cert(i)
-		if cert.Addr != node.Cert.Addr || cert.NodeID != node.Cert.NodeID ||
-			!bytes.Equal(cert.PublicKey, node.Cert.PublicKey) ||
-			!bytes.Equal(cert.Signature, node.Cert.Signature) {
-			t.Fatalf("node %s: certificate mismatch", nid.Short())
-		}
-		if cs.Behavior(i) != node.Behavior {
-			t.Fatalf("node %s: behavior %+v, legacy %+v", nid.Short(), cs.Behavior(i), node.Behavior)
-		}
-
-		leafIdx := cs.Overlay.AppendLeafIndices(i, nil)
-		wantLeaves := node.Routing.Leaf.AppendAll(nil)
-		if len(leafIdx) != len(wantLeaves) {
-			t.Fatalf("node %s: %d leaves, legacy %d", nid.Short(), len(leafIdx), len(wantLeaves))
-		}
-		for q, j := range leafIdx {
-			if cs.NodeID(j) != wantLeaves[q] {
-				t.Fatalf("node %s: leaf %d mismatch", nid.Short(), q)
-			}
-		}
-		for row := 0; row < id.Digits; row++ {
-			for col := byte(0); col < id.Base; col++ {
-				wantSec, wantOK := node.Routing.Secure.Slot(row, col)
-				gotIdx, gotOK := cs.Overlay.SecureSlot(i, row, col)
-				if gotOK != wantOK || (gotOK && cs.NodeID(gotIdx) != wantSec) {
-					t.Fatalf("node %s: secure slot (%d,%d) mismatch", nid.Short(), row, col)
-				}
-				wantStd, wantOK := node.Routing.Standard.Slot(row, col)
-				gotIdx, gotOK = cs.Overlay.StandardSlot(i, row, col)
-				if gotOK != wantOK || (gotOK && cs.NodeID(gotIdx) != wantStd) {
-					t.Fatalf("node %s: standard slot (%d,%d) mismatch", nid.Short(), row, col)
-				}
-			}
-		}
-		peerIdx := cs.Overlay.AppendRoutingPeers(i, nil)
-		wantPeers := node.Routing.RoutingPeers()
-		if len(peerIdx) != len(wantPeers) {
-			t.Fatalf("node %s: %d routing peers, legacy %d", nid.Short(), len(peerIdx), len(wantPeers))
-		}
-		for q, j := range peerIdx {
-			if cs.NodeID(j) != wantPeers[q] {
-				t.Fatalf("node %s: routing peer %d mismatch", nid.Short(), q)
-			}
-		}
-
-		tree, err := cs.TreeOf(i, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree.Root != node.Tree.Root || tree.RootRouter != node.Tree.RootRouter {
-			t.Fatalf("node %s: tree root mismatch", nid.Short())
-		}
-		if len(tree.Leaves) != len(node.Tree.Leaves) {
-			t.Fatalf("node %s: %d tree leaves, legacy %d", nid.Short(), len(tree.Leaves), len(node.Tree.Leaves))
-		}
-		for q := range tree.Leaves {
-			got, want := &tree.Leaves[q], &node.Tree.Leaves[q]
-			if got.Node != want.Node || got.Router != want.Router || len(got.Path) != len(want.Path) {
-				t.Fatalf("node %s: tree leaf %d mismatch", nid.Short(), q)
-			}
-			for l := range got.Path {
-				if got.Path[l] != want.Path[l] {
-					t.Fatalf("node %s: tree leaf %d path link %d mismatch", nid.Short(), q, l)
-				}
-			}
-		}
-	}
-}
 
 // TestBuildCompactSystemWorkerInvariant pins the parexec contract for
 // the compact build: the canonical snapshot is byte-identical no matter
@@ -145,7 +16,7 @@ func TestBuildCompactSystemWorkerInvariant(t *testing.T) {
 	t.Parallel()
 	var want uint64
 	for _, workers := range []int{1, 2, 3} {
-		cs := buildTestCompactSystem(t, func(c *SystemConfig) { c.Workers = workers })
+		cs := buildTestSystem(t, func(c *SystemConfig) { c.Workers = workers })
 		got := cs.CanonicalHash()
 		if workers == 1 {
 			want = got
@@ -157,18 +28,14 @@ func TestBuildCompactSystemWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestCompactCanonicalGolden pins the compact canonical hash at a fixed
-// config and seed. The compact stream is a new format (index-based,
-// trees excluded), so this constant was established when the format
-// landed; any change to the build's decisions or the serialization
-// layout must update it deliberately. Re-verified unchanged when the
-// traffic plane landed: wiring Sim/Net into the build draws nothing
-// from the rng, and the ring-order FailNode standardization changed
-// only the legacy plane's repair order (compact already repaired in
-// ring order).
+// TestCompactCanonicalGolden pins the canonical hash at a fixed config
+// and seed. Any change to the build's decisions or the serialization
+// layout must update it deliberately; it has held unchanged since the
+// format landed, through the traffic-plane port and the removal of the
+// pointer-per-node plane.
 func TestCompactCanonicalGolden(t *testing.T) {
 	t.Parallel()
-	cs := buildTestCompactSystem(t, nil)
+	cs := buildTestSystem(t, nil)
 	const want = uint64(0xc85872ef5cc0b6eb)
 	if got := cs.CanonicalHash(); got != want {
 		t.Fatalf("compact canonical hash %#x, pinned %#x", got, want)
@@ -181,7 +48,7 @@ func TestCompactCanonicalGolden(t *testing.T) {
 func TestCompactSystemChurnDeterministic(t *testing.T) {
 	t.Parallel()
 	run := func() *CompactSystem {
-		cs := buildTestCompactSystem(t, nil)
+		cs := buildTestSystem(t, nil)
 		hosts := cs.Topo.EndHosts()
 		for step := 0; step < 8; step++ {
 			if step%3 == 2 {
@@ -213,7 +80,7 @@ func TestCompactSystemChurnDeterministic(t *testing.T) {
 // from-scratch fill over the current membership.
 func TestCompactChurnSecureInvariant(t *testing.T) {
 	t.Parallel()
-	cs := buildTestCompactSystem(t, nil)
+	cs := buildTestSystem(t, nil)
 	for step := 0; step < 6; step++ {
 		victim := cs.NodeID(uint32((step * 29) % cs.Size()))
 		if err := cs.FailNode(victim); err != nil {
@@ -243,21 +110,22 @@ func TestCompactChurnSecureInvariant(t *testing.T) {
 
 // TestCompactSystemFootprint bounds the per-node resident cost of the
 // compact core at test scale: identifier, slabs (32+64+64 B of key and
-// signature material), routing state, and indices. The legacy System
-// spends ~40KB/node at the same scale.
+// signature material), routing state, and indices. The pointer-per-node
+// representation it replaced spent ~40KB/node at the same scale.
 func TestCompactSystemFootprint(t *testing.T) {
 	t.Parallel()
-	cs := buildTestCompactSystem(t, nil)
+	cs := buildTestSystem(t, nil)
 	perNode := cs.Footprint() / int64(cs.Size())
 	if perNode <= 0 || perNode > 2048 {
 		t.Fatalf("compact footprint %d bytes/node, want (0, 2048]", perNode)
 	}
 }
 
-// TestCompactFailNodeGuards mirrors the legacy churn guards.
+// TestCompactFailNodeGuards checks FailNode's refusals: unknown nodes,
+// and shrinking the overlay below four members.
 func TestCompactFailNodeGuards(t *testing.T) {
 	t.Parallel()
-	cs := buildTestCompactSystem(t, nil)
+	cs := buildTestSystem(t, nil)
 	if err := cs.FailNode(id.ID{1, 2, 3}); err == nil {
 		t.Fatal("FailNode accepted an unknown identifier")
 	}

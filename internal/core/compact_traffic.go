@@ -15,16 +15,14 @@ import (
 	"concilium/internal/wiresize"
 )
 
-// The compact traffic plane (DESIGN.md §13): the full diagnosis
-// protocol — randomized probing, stewarded delivery, per-hop blame,
-// recursive revision, batched acks — running over CompactSystem's
-// index-based state. Every step is draw-for-draw and outcome-identical
-// with the legacy System plane (the equivalence tests in
-// compact_traffic_test.go hold the two together at small N); the
-// difference is purely representational: uint32 ring/slab indices in
-// place of map lookups, lazily cached tomography trees in place of
-// eagerly built ones, and slab-keyed verdict windows and ledgers whose
-// keys survive churn without liveness checks.
+// The traffic plane (DESIGN.md §9): the full diagnosis protocol —
+// randomized probing, stewarded delivery, per-hop blame, recursive
+// revision, batched acks — running over CompactSystem's index-based
+// state: uint32 ring/slab indices in place of map lookups, lazily
+// cached tomography trees, and slab-keyed verdict windows and ledgers
+// whose keys survive churn without liveness checks. The lineage tests
+// (compact_traffic_test.go, churn_traffic_test.go) pin every
+// deterministic outcome of scripted traffic to golden digests.
 
 // Run advances the simulation by d of virtual time.
 func (cs *CompactSystem) Run(d time.Duration) { cs.Sim.RunFor(d) }
@@ -37,9 +35,9 @@ func (cs *CompactSystem) emit(e trace.Event) {
 }
 
 // KeyDir returns the CA-backed key directory for snapshot and
-// accusation verification. Like the legacy directory, it answers only
-// for current members — a departed signer's chain link stops verifying,
-// which is the degraded churn outcome both planes share.
+// accusation verification. It answers only for current members — a
+// departed signer's chain link stops verifying, the degraded outcome of
+// churn racing a diagnosis.
 func (cs *CompactSystem) KeyDir() KeyDirectory {
 	return func(x id.ID) (ed25519.PublicKey, bool) {
 		i, ok := cs.Overlay.IndexOf(x)
@@ -92,11 +90,10 @@ func (cs *CompactSystem) pathToPeer(p uint32, self, peer id.ID) ([]topology.Link
 }
 
 // SendMessage routes one stewarded message from src to dst over the
-// secure overlay and runs the full diagnostic protocol (§3.4–§3.5) —
-// the compact counterpart of System.SendMessage, identical in outcome
-// and rng consumption. The warm delivered path allocates only the
-// report and its route copy; everything else lives in system scratch
-// (§9 ownership protocol) or the per-slab caches.
+// secure overlay and runs the full diagnostic protocol (§3.4–§3.5). The
+// warm delivered path allocates only the report and its route copy;
+// everything else lives in system scratch (§9 ownership protocol) or
+// the per-slab caches.
 func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	si, ok := cs.Overlay.IndexOf(src)
 	if !ok {
@@ -244,8 +241,8 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	// Assemble the amended accusation from the deepest contiguous run of
 	// guilty verdicts whose participants are all still members. Slab keys
 	// make the presence check one array load; keysOfSlab could sign for
-	// a departed participant, but the legacy plane cannot — so the same
-	// truncated-chain degradation is kept deliberately.
+	// a departed participant, but a departed host signs nothing in a
+	// deployment, so the chain is truncated deliberately.
 	start := len(rep.Verdicts) - 1
 	for start > 0 && rep.Verdicts[start-1].Guilty {
 		start--
@@ -301,9 +298,9 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 
 // dropsMessageSlab evaluates slab p's drop policy for one stewarded
 // message. The packed-bits fast path covers honest nodes and plain
-// droppers with zero map traffic and zero rng draws — exactly what the
-// legacy policy consumes for those behaviors — and the extended path
-// mirrors the legacy evaluation order draw for draw.
+// droppers with zero map traffic and zero rng draws; the extended path
+// evaluates always-drop, then the periodic counter, then the
+// probabilistic draw.
 func (cs *CompactSystem) dropsMessageSlab(p uint32) bool {
 	bits := cs.behaviorBits[p]
 	if bits&4 == 0 {
@@ -322,9 +319,9 @@ func (cs *CompactSystem) dropsMessageSlab(p uint32) bool {
 	return b.DropProb > 0 && cs.rng.Float64() < b.DropProb
 }
 
-// timedBlame wraps the blame engine with metrics, as on the legacy
-// plane: call count, probes consulted, and wall-clock latency (the
-// reserved "_wallns" class, excluded from canonical snapshots).
+// timedBlame wraps the blame engine with metrics: call count, probes
+// consulted, and wall-clock latency (the reserved "_wallns" class,
+// excluded from canonical snapshots).
 func (cs *CompactSystem) timedBlame(judged id.ID, span []topology.LinkID, at netsim.Time) (BlameResult, error) {
 	start := time.Now()
 	res, err := cs.Engine.Blame(judged, span, at)
@@ -440,9 +437,8 @@ func (cs *CompactSystem) SendBulk(src, dst id.ID, n int) (*BulkReport, error) {
 // OverlayPaths returns every (host → routing peer) IP path — the
 // candidate set for the failure injector. It materializes every node's
 // tomography tree, which is exactly what lazy trees avoid at large N;
-// scale experiments prefer chaos-style targeted faults, and the sim's
-// small-N figure loops accept the cost for legacy-identical failure
-// schedules.
+// scale experiments prefer chaos-style targeted faults, and the small-N
+// figure loops accept the cost for the paper's failure process.
 func (cs *CompactSystem) OverlayPaths() ([][]topology.LinkID, error) {
 	var out [][]topology.LinkID
 	for p, r := range cs.ringOfSlab {
@@ -475,8 +471,11 @@ func (cs *CompactSystem) StartFailures() error {
 }
 
 // StartProbing schedules every node's randomized lightweight probing
-// loop in slab (legacy Order) order, drawing each node's initial delay
-// from the shared rng exactly as the legacy plane does.
+// loop in membership order, drawing each node's initial delay from the
+// shared rng. Each node observes its tree's links (with the configured
+// probe accuracy) and publishes the results into the shared archive,
+// modeling snapshot dissemination (§3.2); colluders' records are stored
+// truthfully and flipped at judgment time by the collusion filter.
 func (cs *CompactSystem) StartProbing() error {
 	if cs.probing {
 		return fmt.Errorf("core: probing already started")
@@ -499,9 +498,9 @@ func (cs *CompactSystem) StartProbing() error {
 // would dominate the run without changing what the hot path measures.
 // The stride covers the whole slab range (malicious marks cluster at
 // low slabs, so a prefix would be adversarially skewed) and the chosen
-// members are returned for use as traffic endpoints. No legacy
-// counterpart: it exists for experiments that have already given up
-// legacy equivalence by sampling.
+// members are returned for use as traffic endpoints. Sampled probing
+// draws a different random stream from StartProbing, so its runs are
+// comparable only with other sampled runs.
 func (cs *CompactSystem) StartProbingSample(k int) ([]id.ID, error) {
 	if cs.probing {
 		return nil, fmt.Errorf("core: probing already started")
@@ -571,7 +570,7 @@ func (cs *CompactSystem) scheduleProbe(p uint32) error {
 }
 
 // probeSweep runs one lightweight probe sweep for slab p and
-// reschedules the next — the legacy sweep body over indices.
+// reschedules the next.
 func (cs *CompactSystem) probeSweep(p uint32) {
 	if cs.ringOfSlab[p] == overlay.NoIndex {
 		// The node departed after this sweep was scheduled: a ghost must

@@ -9,18 +9,16 @@ import (
 	"concilium/internal/netsim"
 )
 
-// Index-keyed accusation bookkeeping for the compact traffic plane.
-// Both structures are the legacy ones re-keyed by slab position:
-// slab rows are append-only and survive departures, so a slab key
-// stays valid across churn where an identifier would need a liveness
-// check — and a uint32 map key hashes in one word where the 16-byte
-// identifier hashes in two. The verdict ring buffer (peerWindow) is
-// shared with the legacy window, so eviction and threshold semantics
-// cannot drift between the planes.
+// Index-keyed accusation bookkeeping for the traffic plane, keyed by
+// slab position: slab rows are append-only and survive departures, so
+// a slab key stays valid across churn where an identifier would need a
+// liveness check — and a uint32 map key hashes in one word where the
+// 16-byte identifier hashes in two. CompactSystem.GuiltyCount answers
+// by identifier for drivers.
 
 // CompactVerdictWindow tracks, per judged slab, the most recent W
-// verdicts and reports when the formal-accusation threshold trips —
-// VerdictWindow with uint32 keys.
+// verdicts and reports when the formal-accusation threshold trips
+// (§3.4).
 type CompactVerdictWindow struct {
 	cfg WindowConfig
 	per map[uint32]*peerWindow
@@ -82,10 +80,16 @@ func (vw *CompactVerdictWindow) Recent(judged uint32) []Verdict {
 	return out
 }
 
-// CompactStewardLedger is StewardLedger re-keyed by destination slab.
-// It drops the mutex: the compact traffic plane runs entirely inside
-// simulator callbacks on one goroutine (the DESIGN.md §9 discipline),
-// so the lock would only buy contention-free overhead.
+// CompactStewardLedger is the bookkeeping side of §3.7's batched
+// acknowledgments, keyed by destination slab: a steward records every
+// message it forwarded toward a destination, consumes that
+// destination's signed batch acks, and answers "which messages still
+// need a blame evaluation". With digest acks the answer is exact; with
+// counter acks the steward only learns the loss rate of a span and
+// treats the whole span as suspect when it is non-zero — the
+// precision/bandwidth trade-off the paper describes. It holds no lock:
+// the traffic plane runs entirely inside simulator callbacks on one
+// goroutine (the DESIGN.md §9 discipline).
 type CompactStewardLedger struct {
 	owner   id.ID
 	pending map[uint32]map[uint64]netsim.Time // per destination slab: msgID → sent time
@@ -129,8 +133,8 @@ func (l *CompactStewardLedger) Pending(dest uint32) []uint64 {
 // slab dest (identifier destID) and returns the message IDs the ack
 // proves delivered, now cleared. Digest acks clear exactly the covered
 // messages; counter acks with zero loss clear every pending message in
-// the span; a lossy counter ack clears nothing — same precision trade
-// as the legacy ledger.
+// the span; a lossy counter ack clears nothing, since the steward
+// cannot tell which messages died.
 func (l *CompactStewardLedger) ConsumeAck(dest uint32, destID id.ID, ack *BatchAck, destPub ed25519.PublicKey) ([]uint64, error) {
 	if ack == nil {
 		return nil, fmt.Errorf("core: nil batch ack")

@@ -6,24 +6,10 @@ import (
 	"time"
 
 	"concilium/internal/id"
+	"concilium/internal/sigcrypto"
 	"concilium/internal/topology"
 	"concilium/internal/trace"
 )
-
-func buildTestSystem(t *testing.T, mutate func(*SystemConfig)) *System {
-	t.Helper()
-	cfg := DefaultSystemConfig()
-	cfg.Topology = topology.TestConfig()
-	cfg.OverlayFraction = 0.5 // small topology: take half the hosts
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s, err := BuildSystem(cfg, rand.New(rand.NewPCG(201, 203)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 func TestSystemConfigValidate(t *testing.T) {
 	t.Parallel()
@@ -55,55 +41,68 @@ func TestBuildSystemDeterministic(t *testing.T) {
 	cfg := DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
-	s1, err := BuildSystem(cfg, rand.New(rand.NewPCG(7, 8)))
+	s1, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(7, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := BuildSystem(cfg, rand.New(rand.NewPCG(7, 8)))
+	s2, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(7, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.Order) != len(s2.Order) {
+	o1, o2 := s1.AliveIDs(), s2.AliveIDs()
+	if len(o1) != len(o2) {
 		t.Fatal("different node counts")
 	}
-	for i := range s1.Order {
-		if s1.Order[i] != s2.Order[i] {
+	for i := range o1 {
+		if o1[i] != o2[i] {
 			t.Fatal("node identities differ under same seed")
 		}
+	}
+	if s1.CanonicalHash() != s2.CanonicalHash() {
+		t.Fatal("canonical state differs under same seed")
 	}
 }
 
 func TestBuildSystemStructure(t *testing.T) {
 	t.Parallel()
 	s := buildTestSystem(t, nil)
-	if len(s.Nodes) < 4 {
-		t.Fatalf("only %d nodes", len(s.Nodes))
+	if s.Size() < 4 {
+		t.Fatalf("only %d nodes", s.Size())
 	}
-	for _, nid := range s.Order {
-		n := s.Nodes[nid]
-		if n.Routing == nil || n.Tree == nil {
-			t.Fatalf("node %s missing state", nid.Short())
+	var peers []uint32
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		nid := s.NodeID(i)
+		if err := s.Overlay.Validate(i); err != nil {
+			t.Fatalf("node %s: %v", nid.Short(), err)
+		}
+		tree, err := s.CachedTree(i)
+		if err != nil {
+			t.Fatalf("node %s: %v", nid.Short(), err)
 		}
 		// Trees must cover every routing peer (all hosts are reachable
 		// in a connected topology).
-		if len(n.Tree.Leaves) != len(n.Routing.RoutingPeers()) {
-			t.Errorf("node %s: %d leaves for %d peers",
-				nid.Short(), len(n.Tree.Leaves), len(n.Routing.RoutingPeers()))
+		peers = s.Overlay.AppendRoutingPeers(i, peers[:0])
+		if len(tree.Leaves) != len(peers) {
+			t.Errorf("node %s: %d leaves for %d peers", nid.Short(), len(tree.Leaves), len(peers))
 		}
-		// Certificates verify against the CA.
-		if n.Cert.NodeID != nid {
+		// Certificates name their node and verify against the CA.
+		cert := s.Cert(i)
+		if cert.NodeID != nid {
 			t.Errorf("certificate identity mismatch for %s", nid.Short())
 		}
+		if err := sigcrypto.VerifyCertificate(s.CA.PublicKey(), &cert); err != nil {
+			t.Errorf("certificate of %s does not verify: %v", nid.Short(), err)
+		}
 	}
-	keys := s.Keys()
-	if _, ok := keys(s.Order[0]); !ok {
+	keys := s.KeyDir()
+	if _, ok := keys(s.NodeID(0)); !ok {
 		t.Error("key directory missing member")
 	}
 	if _, ok := keys(id.Zero); ok {
 		t.Error("key directory invented a member")
 	}
-	if len(s.OverlayPaths()) == 0 {
-		t.Error("no overlay paths")
+	if paths, err := s.OverlayPaths(); err != nil || len(paths) == 0 {
+		t.Errorf("no overlay paths (%v)", err)
 	}
 }
 
@@ -111,12 +110,12 @@ func TestBuildSystemMarksMalicious(t *testing.T) {
 	t.Parallel()
 	s := buildTestSystem(t, func(c *SystemConfig) { c.MaliciousFraction = 0.25 })
 	var bad int
-	for _, nid := range s.Order {
-		if s.Nodes[nid].Behavior.DropsMessages {
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		if s.Behavior(i).DropsMessages {
 			bad++
 		}
 	}
-	want := int(0.25 * float64(len(s.Order)))
+	want := int(0.25 * float64(s.Size()))
 	if bad != want {
 		t.Errorf("malicious nodes = %d, want %d", bad, want)
 	}
@@ -125,7 +124,8 @@ func TestBuildSystemMarksMalicious(t *testing.T) {
 func TestSendMessageCleanNetworkDelivers(t *testing.T) {
 	t.Parallel()
 	s := buildTestSystem(t, nil)
-	src, dst := s.Order[0], s.Order[len(s.Order)-1]
+	order := s.AliveIDs()
+	src, dst := order[0], order[len(order)-1]
 	rep, err := s.SendMessage(src, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -141,42 +141,20 @@ func TestSendMessageCleanNetworkDelivers(t *testing.T) {
 func TestSendMessageSelfDelivery(t *testing.T) {
 	t.Parallel()
 	s := buildTestSystem(t, nil)
-	rep, err := s.SendMessage(s.Order[0], s.Order[0])
+	first := s.NodeID(0)
+	rep, err := s.SendMessage(first, first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Delivered || len(rep.Route) != 1 {
 		t.Errorf("self delivery: %+v", rep)
 	}
-	if _, err := s.SendMessage(id.Zero, s.Order[0]); err == nil {
+	if _, err := s.SendMessage(id.Zero, first); err == nil {
 		t.Error("unknown source accepted")
 	}
-	if _, err := s.SendMessage(s.Order[0], id.Zero); err == nil {
+	if _, err := s.SendMessage(first, id.Zero); err == nil {
 		t.Error("unknown destination accepted")
 	}
-}
-
-// findMultiHopPair returns a src/dst whose secure route has at least
-// minHops overlay hops.
-func findMultiHopPair(t *testing.T, s *System, minHops int) (id.ID, id.ID, []id.ID) {
-	t.Helper()
-	states := s.routingStates()
-	for _, src := range s.Order {
-		for _, dst := range s.Order {
-			if src == dst {
-				continue
-			}
-			route, err := overlayRoute(states, src, dst)
-			if err != nil {
-				continue
-			}
-			if len(route) >= minHops+1 {
-				return src, dst, route
-			}
-		}
-	}
-	t.Skip("no multi-hop route in this small overlay")
-	return id.ID{}, id.ID{}, nil
 }
 
 func TestSendMessageDropperBlamedWithEvidence(t *testing.T) {
@@ -187,7 +165,7 @@ func TestSendMessageDropperBlamedWithEvidence(t *testing.T) {
 	// Make the first intermediate hop a dropper, then saturate the
 	// archive with truthful probes so the blame engine has evidence.
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
+	setDropper(t, s, dropper)
 	if err := s.StartProbing(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +190,7 @@ func TestSendMessageDropperBlamedWithEvidence(t *testing.T) {
 	if rep.Chain == nil {
 		t.Fatal("no accusation chain assembled")
 	}
-	if err := rep.Chain.Verify(s.Keys(), s.Config.Blame.GuiltyThreshold); err != nil {
+	if err := rep.Chain.Verify(s.KeyDir(), s.Config.Blame.GuiltyThreshold); err != nil {
 		t.Errorf("accusation chain does not verify: %v", err)
 	}
 	if rep.Chain.Culprit() != dropper {
@@ -227,10 +205,7 @@ func TestSendMessageLinkFailureBlamesNetwork(t *testing.T) {
 
 	// Fail the first link of the first hop's path and give the archive
 	// perfect evidence of it.
-	path, err := s.Nodes[route[0]].PathToPeer(route[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := peerPath(t, s, route[0], route[1])
 	if err := s.Net.SetLinkDown(path[0], true); err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +285,12 @@ func TestCollusionFilterAdaptsToJudgment(t *testing.T) {
 	t.Parallel()
 	s := buildTestSystem(t, func(c *SystemConfig) { c.MaliciousFraction = 0.3 })
 	var liar, honest id.ID
-	for _, nid := range s.Order {
-		if s.Nodes[nid].Behavior.InvertsProbes && liar == (id.ID{}) {
+	for _, nid := range s.AliveIDs() {
+		i, _ := s.Overlay.IndexOf(nid)
+		if s.Behavior(i).InvertsProbes && liar == (id.ID{}) {
 			liar = nid
 		}
-		if s.Nodes[nid].Behavior.Honest() && honest == (id.ID{}) {
+		if s.Behavior(i).Honest() && honest == (id.ID{}) {
 			honest = nid
 		}
 	}
@@ -357,7 +333,7 @@ func TestSignedSnapshotModePopulatesArchive(t *testing.T) {
 	// Diagnosis still works end to end through the signed pipeline.
 	src, dst, route := findMultiHopPair(t, s, 2)
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
+	setDropper(t, s, dropper)
 	s.Run(2 * time.Minute)
 	rep, err := s.SendMessage(src, dst)
 	if err != nil {
@@ -374,10 +350,7 @@ func TestSendMessageAckDropBlamesNetwork(t *testing.T) {
 	// link between the message leg and the acknowledgment leg.
 	s := buildTestSystem(t, func(c *SystemConfig) { c.HopLatency = time.Second })
 	src, dst, route := findMultiHopPair(t, s, 2)
-	path, err := s.Nodes[route[0]].PathToPeer(route[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := peerPath(t, s, route[0], route[1])
 	// Probes see healthy links before the send; after the forward legs
 	// complete, the first-hop link dies, eating the ack on its way back.
 	if err := s.StartProbing(); err != nil {
@@ -387,14 +360,10 @@ func TestSendMessageAckDropBlamesNetwork(t *testing.T) {
 	var forwardSpan time.Duration
 	cur := route[0]
 	for _, hop := range route[1:] {
-		p, err := s.Nodes[cur].PathToPeer(hop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		forwardSpan += s.Net.Latency(p)
+		forwardSpan += s.Net.Latency(peerPath(t, s, cur, hop))
 		cur = hop
 	}
-	err = s.Sim.ScheduleAfter(forwardSpan+time.Millisecond, func() {
+	err := s.Sim.ScheduleAfter(forwardSpan+time.Millisecond, func() {
 		if err := s.Net.SetLinkDown(path[0], true); err != nil {
 			t.Error(err)
 		}
@@ -449,7 +418,7 @@ func TestSystemTracing(t *testing.T) {
 	// Drive one diagnosed drop and check the full event trail.
 	src, dst, route := findMultiHopPair(t, s, 2)
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
+	setDropper(t, s, dropper)
 	rep, err := s.SendMessage(src, dst)
 	if err != nil {
 		t.Fatal(err)

@@ -11,12 +11,12 @@ import (
 	"concilium/internal/topology"
 )
 
-// TestChurnTreeReuseMatchesFromScratch drives churn across the chaos
-// campaign seeds and verifies the incremental rebuild path — cached
-// per-router BFS plus BuildTreeBFS — leaves every node's tomography
-// tree byte-identical to a from-scratch BuildTree over the same peers:
-// same leaf order, same link sets, and identical PathTo results link
-// for link.
+// TestChurnTreeReuseMatchesFromScratch drives plain churn (no probing,
+// no traffic) across the chaos campaign seeds and verifies the tree
+// cache — kept where a node's peers did not change, rebuilt from the
+// cached BFS where they did — against an independent from-scratch
+// BuildTree over each node's current routing peers: same leaf order,
+// same link sets, and identical PathTo results link for link.
 func TestChurnTreeReuseMatchesFromScratch(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []uint64{1, 7, 42} {
@@ -26,53 +26,54 @@ func TestChurnTreeReuseMatchesFromScratch(t *testing.T) {
 			cfg := DefaultSystemConfig()
 			cfg.Topology = topology.TestConfig()
 			cfg.OverlayFraction = 0.5
-			s, err := BuildSystem(cfg, rand.New(rand.NewPCG(seed, seed+1)))
+			cs, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(seed, seed+1)))
 			if err != nil {
 				t.Fatal(err)
 			}
+			verifyTreesMatchScratch(t, cs) // fills the cache
 			churn := rand.New(rand.NewPCG(seed+2, seed+3))
-			hosts := s.Topo.EndHosts()
+			hosts := cs.Topo.EndHosts()
 			for round := 0; round < 4; round++ {
-				if len(s.Order) > 6 {
-					victim := s.Order[churn.IntN(len(s.Order))]
-					if err := s.FailNode(victim); err != nil {
+				if cs.Size() > 6 {
+					alive := cs.AliveIDs()
+					if err := cs.FailNode(alive[churn.IntN(len(alive))]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if _, err := s.JoinNode(hosts[churn.IntN(len(hosts))]); err != nil {
+				if _, err := cs.JoinNode(hosts[churn.IntN(len(hosts))]); err != nil {
 					t.Fatal(err)
 				}
-				verifyTreesMatchScratch(t, s)
+				verifyTreesMatchScratch(t, cs)
 			}
 		})
 	}
 }
 
-// verifyTreesMatchScratch compares every node's live tree against a
+// verifyTreesMatchScratch compares every node's cached tree against a
 // from-scratch BuildTree over the node's current routing peers.
-func verifyTreesMatchScratch(t *testing.T, s *System) {
+func verifyTreesMatchScratch(t *testing.T, cs *CompactSystem) {
 	t.Helper()
-	for _, nid := range s.Order {
-		node := s.Nodes[nid]
-		peers := node.Routing.RoutingPeers()
+	var peers []uint32
+	for i := uint32(0); i < uint32(cs.Size()); i++ {
+		peers = cs.Overlay.AppendRoutingPeers(i, peers[:0])
 		leaves := make([]tomography.Leaf, 0, len(peers))
-		for _, p := range peers {
-			pn, ok := s.Nodes[p]
-			if !ok {
-				continue
-			}
-			leaves = append(leaves, tomography.Leaf{Node: p, Router: pn.Router})
+		for _, j := range peers {
+			leaves = append(leaves, tomography.Leaf{Node: cs.NodeID(j), Router: cs.Router(j)})
 		}
-		fresh, err := tomography.BuildTree(s.Topo, nid, node.Router, leaves)
+		fresh, err := tomography.BuildTree(cs.Topo, cs.NodeID(i), cs.Router(i), leaves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameTree(t, nid.Short(), node.Tree, fresh)
+		live, err := cs.CachedTree(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTree(t, cs.NodeID(i).Short(), live, fresh)
 	}
 }
 
-// TestCompactChurnTreeCacheMatchesFromScratch is the compact plane's
-// counterpart: cached trees survive joins and departures (including a
+// TestCompactChurnTreeCacheMatchesFromScratch adds probing and traffic:
+// cached trees survive joins and departures (including a
 // departure that lands mid-flight) and are revalidated on their next
 // use, and every alive slab's tree must then equal a fresh TreeOf —
 // same leaves, paths and links — while departed slabs hold no tree.
